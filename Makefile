@@ -9,7 +9,13 @@ SERVE_STATE_DIR ?= .serve-state
 SERVE_PIDFILE ?= .serve-state/repro-serve.pid
 SERVE_LOG ?= .serve-state/repro-serve.log
 
-.PHONY: test sweep-smoke bench bench-json clean \
+# The end-to-end benchmark's knobs (see perfbench/README.md):
+#   make perfbench W=serve-sweep SEED=7 SECONDS=90
+W ?= batch-paper
+SEED ?= 1
+SECONDS ?= 45
+
+.PHONY: test sweep-smoke bench bench-json perfbench clean \
 	serve-start serve-stop serve-status serve-restart
 
 test:
@@ -42,6 +48,12 @@ bench-json:
 	    -q --benchmark-json=BENCH_$$n.json --benchmark-disable-gc && \
 	$(PYTHON) benchmarks/slim_bench.py BENCH_$$n.json && \
 	$(PYTHON) -c "import json;d=json.load(open('BENCH_$$n.json'));print('\n'.join(f\"{b['name']}: {b['stats']['mean']*1000:.2f} ms (mean)\" for b in d['benchmarks']))"
+
+# The end-to-end benchmark: a readable report, then one JSON line whose
+# "correct" field is the workload's correctness gate (batch-paper
+# re-solves a 300-problem sample with the solve_reference oracle).
+perfbench:
+	$(PYTHON) perfbench/run.py --workload $(W) --seed $(SEED) --seconds $(SECONDS)
 
 # -- the always-on localization daemon ---------------------------------------
 # serve-start backgrounds repro-serve with a pidfile and waits for

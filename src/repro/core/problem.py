@@ -4,14 +4,15 @@ Clause semantics: a censored observation of path ``X → Y → Z`` contributes
 the positive clause ``(X ∨ Y ∨ Z)``; a clean observation contributes the
 negative unit clauses ``¬X``, ``¬Y``, ``¬Z`` (the whole path is exonerated).
 
-Solving proceeds in two stages.  Unit propagation alone decides most
-instances (the characteristic shape is many negative units plus a few
-positive clauses).  Undecided residuals go to the CDCL solver: model
-enumeration (with a cap) yields the paper's 0 / 1 / 2+ classification, and
-backbone extraction yields the exact True/False/free status of every AS —
-"False in all returned solutions" marks definite non-censors.
+The paper-faithful solve (:meth:`TomographyProblem.solve_reference`)
+proceeds in two stages.  Unit propagation alone decides most instances
+(the characteristic shape is many negative units plus a few positive
+clauses).  Undecided residuals go to the CDCL solver: model enumeration
+(with a cap) yields the paper's 0 / 1 / 2+ classification, and backbone
+extraction yields the exact True/False/free status of every AS — "False
+in all returned solutions" marks definite non-censors.
 
-Two layers of optimization keep a many-thousand-problem batch cheap while
+Three layers of optimization keep a many-thousand-problem batch cheap while
 producing *identical* results to the straightforward path (which is kept
 as :meth:`TomographyProblem.solve_reference` and pinned by tests):
 
@@ -21,10 +22,13 @@ as :meth:`TomographyProblem.solve_reference` and pinned by tests):
   signature, so each structurally unique CNF is solved once per batch.
 - **Set-based propagation fast path.**  Because all non-unit clauses are
   purely positive, the unit-propagation closure reduces to set algebra —
-  no CNF, clause objects, or CDCL solver are constructed unless a genuine
-  residual search space remains.  When the residual's model enumeration
-  completes under the cap, the backbone is derived from the enumerated
-  models instead of a second solver run.
+  no CNF, clause objects, or CDCL solver are ever constructed.
+- **Closed-form residuals.**  A clause propagation leaves undecided is
+  all-positive with at least two live, unforced ASes, so all-True (and
+  all-True-except-any-one-AS) satisfies the residual: the problem is
+  MULTIPLE, its certain censors are the forced-True ASes and its
+  definite non-censors the exonerated ones.  Only the capped model count
+  needs a search, a small hitting-set counter over the residual clauses.
 """
 
 from __future__ import annotations
@@ -106,8 +110,7 @@ class SolveStats:
     signature_hits: int = 0      # solved by the structural memo alone
     unique_cnfs: int = 0         # structurally distinct formulas solved
     propagation_decided: int = 0  # closed by the set-based fast path
-    cdcl_solves: int = 0         # residuals that needed the CDCL solver
-    backbones_from_models: int = 0  # backbones derived without a 2nd solver
+    cdcl_solves: int = 0  # residual problems closed by the hitting-set count
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -116,7 +119,6 @@ class SolveStats:
             "unique_cnfs": self.unique_cnfs,
             "propagation_decided": self.propagation_decided,
             "cdcl_solves": self.cdcl_solves,
-            "backbones_from_models": self.backbones_from_models,
         }
 
 
@@ -133,10 +135,6 @@ class ProblemSolveCache:
     def __init__(self) -> None:
         self._solutions: Dict[ProblemSignature, ProblemSolution] = {}
         self.stats = SolveStats()
-        # Optional observability registry (repro.obs), threaded down to
-        # the CDCL solver for per-solve search counters.  Telemetry
-        # only: never consulted by the solve paths themselves.
-        self.metrics = None
         # Scratch reused across problems: cleared, never reallocated.
         self._scratch_false: Set[int] = set()
         self._scratch_true: Set[int] = set()
@@ -374,7 +372,8 @@ def solve_ledger(
     The single optimized solve shared by batch (`TomographyProblem.solve`)
     and stream (`repro.stream`): memoized by content signature when a
     :class:`ProblemSolveCache` is supplied, decided by the set-based
-    propagation fast path whenever possible, CDCL enumeration otherwise.
+    propagation fast path, with any residual closed by a capped
+    hitting-set count.
     """
     if cache is None:
         return _solve_ledger_fast(key, ledger, solution_cap, None)
@@ -459,10 +458,10 @@ def _solve_ledger_fast(
         if not any(asn in forced_true for asn in clause)
     ]
 
+    names: Set[int] = set(forced_false)
+    for path in positive_paths:
+        names.update(path)
     if not residual:
-        names: Set[int] = set(forced_false)
-        for path in positive_paths:
-            names.update(path)
         if cache is not None:
             cache.stats.propagation_decided += 1
         free_count = len(names) - len(forced_false) - len(forced_true)
@@ -482,111 +481,91 @@ def _solve_ledger_fast(
         # make the solution non-unique.
         count = min(solution_cap, 2 ** free_count)
         capped = 2 ** free_count > solution_cap
-        free = names - forced_false - forced_true
         return ProblemSolution(
             key=key,
             status=SolutionStatus.MULTIPLE,
             num_solutions=count,
             capped=capped,
             observed_ases=observed,
-            potential_censors=frozenset(forced_true) | frozenset(free),
+            potential_censors=frozenset(names - forced_false),
             eliminated=frozenset(forced_false),
             clause_count=clause_count,
             positive_clause_count=positive_count,
         )
 
-    # Genuine residual search space: build the real CNF and enumerate.
+    # Residual clauses are all-positive, each with >= 2 live ASes none of
+    # which is forced.  All-True is a model, and so is all-True-except-v
+    # for any residual AS v: the status is MULTIPLE, the always-True ASes
+    # are exactly the forced-True ones and the always-False ASes exactly
+    # the exonerated ones.  Only the capped model count needs a search.
     if cache is not None:
         cache.stats.cdcl_solves += 1
-    return _solve_ledger_residual(
-        key, ledger, solution_cap, observed, clause_count, positive_count,
-        cache,
+    total = _count_hitting_sets(
+        residual, len(names) - len(forced_false) - len(forced_true),
+        solution_cap,
     )
-
-
-def _solve_ledger_residual(
-    key: ProblemKey,
-    ledger: PathLedger,
-    solution_cap: int,
-    observed: FrozenSet[int],
-    clause_count: int,
-    positive_count: int,
-    cache: Optional[ProblemSolveCache],
-) -> ProblemSolution:
-    """Classify via CDCL enumeration (and backbone when MULTIPLE)."""
-    cnf, builder = ledger.build_cnf()
-    enumeration = enumerate_models(
-        cnf,
-        cap=solution_cap,
-        metrics=cache.metrics if cache is not None else None,
-    )
-    if enumeration.unsatisfiable:
-        return ProblemSolution(
-            key=key,
-            status=SolutionStatus.UNSATISFIABLE,
-            num_solutions=0,
-            capped=False,
-            observed_ases=observed,
-            clause_count=clause_count,
-            positive_clause_count=positive_count,
-        )
-    if enumeration.unique:
-        named = builder.decode(enumeration.models[0])
-        return ProblemSolution(
-            key=key,
-            status=SolutionStatus.UNIQUE,
-            num_solutions=1,
-            capped=False,
-            observed_ases=observed,
-            censors=frozenset(a for a, value in named.items() if value),
-            eliminated=frozenset(
-                a for a, value in named.items() if not value
-            ),
-            clause_count=clause_count,
-            positive_clause_count=positive_count,
-        )
-    # Multiple solutions: exact always-True / always-False sets.  A
-    # completed (uncapped) enumeration already holds *every* model, so
-    # the backbone falls out of the model list without constructing a
-    # second solver; a capped enumeration needs the assumption-probing
-    # backbone for exactness.
-    if not enumeration.capped:
-        if cache is not None:
-            cache.stats.backbones_from_models += 1
-        variables = sorted(cnf.variables())
-        always_true = {
-            var
-            for var in variables
-            if all(model.get(var) is True for model in enumeration.models)
-        }
-        always_false = {
-            var
-            for var in variables
-            if all(model.get(var) is False for model in enumeration.models)
-        }
-    else:
-        bb = backbone(cnf)
-        always_true = bb.always_true
-        always_false = bb.always_false
-    always_false_named = frozenset(
-        builder.name_of(var) for var in always_false
-    )
-    always_true_named = frozenset(
-        builder.name_of(var) for var in always_true
-    )
-    potential = frozenset(builder.names) - always_false_named
     return ProblemSolution(
         key=key,
         status=SolutionStatus.MULTIPLE,
-        num_solutions=enumeration.count,
-        capped=enumeration.capped,
+        num_solutions=min(solution_cap, total),
+        # >=, as in EnumerationResult.capped: exactly ``cap`` models
+        # reads as capped here, unlike the decided branch's ``>``.
+        capped=total >= solution_cap,
         observed_ases=observed,
-        censors=always_true_named,  # certain even among many models
-        potential_censors=potential,
-        eliminated=always_false_named,
+        censors=frozenset(forced_true),
+        potential_censors=frozenset(names - forced_false),
+        eliminated=frozenset(forced_false),
         clause_count=clause_count,
         positive_clause_count=positive_count,
     )
+
+
+def _count_hitting_sets(
+    clauses: List[Tuple[int, ...]], num_vars: int, cap: int
+) -> int:
+    """Assignments of ``num_vars`` ASes that set some AS of every
+    all-positive clause True, counted exactly below ``cap``.
+
+    ``clauses`` must be non-empty and mention no other AS; an AS they do
+    not mention doubles the count.  Branches on one AS: True drops the clauses it hits, False deletes it from them
+    (an emptied clause kills the branch).  Every surviving branch has a
+    model (the rest all True), so the search stops after about
+    ``cap * num_vars`` nodes.  The result may overshoot ``cap`` but is
+    then still ``>= cap``.
+    """
+    pivot = clauses[0][0]
+    num_vars -= 1
+    hit: List[Tuple[int, ...]] = []
+    missed: List[Tuple[int, ...]] = []
+    for clause in clauses:
+        if pivot in clause:
+            hit.append(clause)
+        else:
+            missed.append(clause)
+    # Pivot True: the clauses it hits are satisfied; every AS that only
+    # they mention is now unconstrained.
+    if missed:
+        left: Set[int] = set()
+        for clause in missed:
+            left.update(clause)
+        unconstrained = num_vars - len(left)
+        count = _count_hitting_sets(
+            missed, len(left), -(-cap >> unconstrained)
+        ) << unconstrained
+    else:
+        count = 1 << num_vars
+    if count >= cap:
+        return count
+    # Pivot False: every clause it was in must be hit by another AS.
+    # Shrunk clauses go first so the next pivot comes from one of them.
+    reduced: List[Tuple[int, ...]] = []
+    for clause in hit:
+        rest = tuple(a for a in clause if a != pivot)
+        if not rest:
+            return count
+        reduced.append(rest)
+    reduced.extend(missed)
+    return count + _count_hitting_sets(reduced, num_vars, cap - count)
 
 
 __all__ = [

@@ -68,9 +68,7 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     "repro_solve_propagation_decided": (
         "gauge", "Problems closed by the set-based fast path"),
     "repro_solve_cdcl_solves": (
-        "gauge", "Residual problems needing the CDCL solver"),
-    "repro_solve_backbones_from_models": (
-        "gauge", "Backbones derived without a second solver pass"),
+        "gauge", "Residual problems closed by the hitting-set count"),
     "repro_solve_signature_hit_ratio": (
         "gauge", "signature_hits / problems (unique-CNF hit rate)"),
     "repro_solve_propagation_ratio": (
@@ -78,11 +76,6 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
     # -- verdict events (per kind; only with subscribers attached) --------
     "repro_events_total": (
         "counter", "Verdict events emitted, by event_kind"),
-    # -- SAT core ----------------------------------------------------------
-    "repro_sat_solves_total": ("counter", "CDCL solve() calls"),
-    "repro_sat_conflicts_total": ("counter", "CDCL conflicts"),
-    "repro_sat_decisions_total": ("counter", "CDCL decisions"),
-    "repro_sat_propagations_total": ("counter", "CDCL unit propagations"),
     # -- transports --------------------------------------------------------
     "repro_transport_frames_total": (
         "counter", "Wire frames moved, by transport/role/direction"),

@@ -3,7 +3,11 @@
 The paper feeds per-(URL, anomaly, time-window) CNFs to "an off-the-shelf SAT
 solver" and classifies them by their number of solutions (0 / 1 / 2+), then
 uses "False in every returned solution" to eliminate definite non-censors.
-No third-party solver is available offline, so this package provides:
+No third-party solver is available offline, so this package provides one.
+Its solver, enumeration and backbone serve the paper-faithful reference
+oracle (:meth:`repro.core.problem.TomographyProblem.solve_reference`), which
+the optimized solve is tested against; the production path uses only the
+propagation closures.  The package holds:
 
 - :class:`~repro.sat.cnf.CNF` / :class:`~repro.sat.cnf.Clause` — DIMACS-style
   formula representation with named variables,

@@ -32,8 +32,9 @@ class EnumerationResult:
         The satisfying assignments found (projected onto the requested
         variables), in discovery order.
     capped:
-        True when enumeration stopped at the cap; the true count is then
-        at least ``len(models) + 1``... strictly greater than ``len(models)``.
+        True when enumeration stopped at the cap (``len(models) >= cap``);
+        the true count is then at least ``len(models)``, not necessarily
+        more.
     """
 
     models: List[Assignment] = field(default_factory=list)
@@ -59,7 +60,6 @@ def enumerate_models(
     cnf: CNF,
     cap: int = DEFAULT_MODEL_CAP,
     variables: Optional[Sequence[int]] = None,
-    metrics=None,
 ) -> EnumerationResult:
     """Enumerate up to ``cap`` models of ``cnf``.
 
@@ -75,16 +75,13 @@ def enumerate_models(
         Project models onto this subset of variables (default: variables
         that appear in at least one clause). Two models agreeing on the
         projection count once.
-    metrics:
-        Optional :class:`repro.obs.metrics.MetricsRegistry`; the solver
-        records per-solve search counters into it.  Telemetry only.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     project: List[int] = sorted(variables) if variables is not None else sorted(
         cnf.variables()
     )
-    solver = Solver(cnf, metrics=metrics)
+    solver = Solver(cnf)
     result = EnumerationResult()
     while True:
         outcome = solver.solve()

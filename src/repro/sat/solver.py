@@ -67,20 +67,7 @@ class Solver:
     are implemented as decision levels and analysis stops at them.
     """
 
-    def __init__(self, cnf: CNF, metrics=None) -> None:
-        # Optional repro.obs registry: per-solve search counters are
-        # recorded in _result (the single exit point) as deltas, so the
-        # search loops themselves stay uninstrumented.
-        if metrics is not None:
-            self._m_counters = (
-                metrics.counter("repro_sat_solves_total"),
-                metrics.counter("repro_sat_conflicts_total"),
-                metrics.counter("repro_sat_decisions_total"),
-                metrics.counter("repro_sat_propagations_total"),
-            )
-        else:
-            self._m_counters = None
-        self._m_reported = (0, 0, 0)
+    def __init__(self, cnf: CNF) -> None:
         self._num_vars = cnf.num_vars
         # Assignment state, indexed by variable (slot 0 unused).
         self._value: List[Optional[bool]] = [None] * (self._num_vars + 1)
@@ -384,16 +371,6 @@ class Solver:
             self._enqueue(branch, None)
 
     def _result(self, satisfiable: bool, model: Optional[Assignment] = None) -> SolveResult:
-        if self._m_counters is not None:
-            solves, conflicts, decisions, propagations = self._m_counters
-            last = self._m_reported
-            solves.inc()
-            conflicts.inc(self.conflicts - last[0])
-            decisions.inc(self.decisions - last[1])
-            propagations.inc(self.propagations - last[2])
-            self._m_reported = (
-                self.conflicts, self.decisions, self.propagations
-            )
         return SolveResult(
             satisfiable=satisfiable,
             model=model or {},

@@ -133,14 +133,12 @@ class StreamingLocalizer:
         open/closed problem totals) is exported by a snapshot-time
         *collector*, so steady-state ingestion pays nothing.  The only
         live instruments are the per-kind verdict-event counters bumped
-        in ``_emit`` — which only runs with subscribers attached — and
-        the SAT-core counters the solve cache threads down to residual
-        CDCL solves.  One engine per registry; a restored engine
-        re-attaching replaces its predecessor's collector.
+        in ``_emit`` — which only runs with subscribers attached.  One
+        engine per registry; a restored engine re-attaching replaces its
+        predecessor's collector.
         """
         self._metrics = registry
         self._event_counters = {}
-        self._cache.metrics = registry
         registry.add_collector(self._collect_metrics, key="stream-engine")
 
     def attach_spans(

@@ -11,9 +11,10 @@ scratch.
 
 Verdict snapshots come from the closure whenever it decides the formula —
 the overwhelmingly common case, mirroring the batch set-algebra fast path
-literal for literal — and fall back to the signature-deduped CDCL solve
-(:func:`~repro.core.problem.solve_ledger`, the very function batch uses)
-only when a genuine residual search space remains.
+literal for literal — and fall back to the signature-deduped solve
+(:func:`~repro.core.problem.solve_ledger`, the very function batch uses,
+which closes residuals with a capped hitting-set count) only when a
+genuine residual search space remains.
 """
 
 from __future__ import annotations

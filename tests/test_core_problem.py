@@ -6,12 +6,15 @@ and the reduction fraction — cross-checked against brute-force enumeration
 where the instances are small.
 """
 
+import random
+
 import pytest
 
 from repro.anomaly import Anomaly
 from repro.core.observations import Observation
 from repro.core.problem import (
     ProblemKey,
+    ProblemSolveCache,
     SolutionStatus,
     TomographyProblem,
 )
@@ -194,3 +197,57 @@ class TestSolutionCap:
             solution_cap=4,
         ).solve()
         assert solution.eliminated == {1, 2}
+
+    def test_residual_with_exactly_cap_models_is_capped(self):
+        # (1 v 2) has 3 models; the residual count reports capped at >= cap
+        solution = TomographyProblem(
+            key(), [obs([1, 2], True)], solution_cap=3
+        ).solve()
+        assert solution.status is SolutionStatus.MULTIPLE
+        assert solution.num_solutions == 3
+        assert solution.capped
+
+    def test_decided_with_exactly_cap_models_is_not_capped(self):
+        # 1 forced True satisfies (1 v 2 v 3): 2 and 3 are free, 4 models;
+        # the propagation-decided count reports capped only above cap
+        solution = TomographyProblem(
+            key(), [obs([1, 2, 3], True), obs([1], True)], solution_cap=4
+        ).solve()
+        assert solution.status is SolutionStatus.MULTIPLE
+        assert solution.num_solutions == 4
+        assert not solution.capped
+
+
+def random_residual_problems(seed, count):
+    """Small random problems whose solve reaches the residual count.
+
+    2-8 ASes, 1-5 censored paths, 0-3 clean paths, caps in {1, 2, 3, 16}.
+    """
+    rng = random.Random(seed)
+    found = 0
+    while found < count:
+        ases = list(range(1, rng.randint(2, 8) + 1))
+        observations = [
+            obs(rng.sample(ases, rng.randint(1, min(4, len(ases)))), True)
+            for _ in range(rng.randint(1, 5))
+        ] + [
+            obs(rng.sample(ases, rng.randint(1, min(3, len(ases)))), False)
+            for _ in range(rng.randint(0, 3))
+        ]
+        problem = TomographyProblem(
+            key(), observations, solution_cap=rng.choice([1, 2, 3, 16])
+        )
+        cache = ProblemSolveCache()
+        solution = problem.solve(cache)
+        if cache.stats.cdcl_solves:
+            found += 1
+            yield problem, solution
+
+
+class TestResidualMatchesReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_residuals_equal_reference(self, seed):
+        for problem, solution in random_residual_problems(seed, 150):
+            assert solution == problem.solve_reference(), (
+                problem.observations, problem.solution_cap
+            )

@@ -345,13 +345,17 @@ class TestSessionMetrics:
             series_key(c["name"], c["labels"]): c["value"]
             for c in snapshot["counters"]
         }
-        # Live event counters (subscriber attached) and SAT totals.
+        # Live event counters (subscriber attached) and solve gauges.
         assert sum(
             value
             for key, value in counters.items()
             if key.startswith("repro_events_total")
         ) > 0
-        assert counters.get("repro_sat_solves_total", 0) > 0
+        # Every window close and every snapshot fallback is one solve.
+        assert gauges["repro_solve_problems"] == len(
+            result.solutions
+        ) + gauges["repro_stream_fallback_solves"]
+        assert gauges["repro_solve_unique_cnfs"] > 0
         assert validate_exposition(render_prometheus(snapshot)) == []
 
 
