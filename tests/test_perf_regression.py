@@ -38,8 +38,26 @@ GOLDEN_SHA256 = {
 }
 
 
+# sha256 of the canonical JSON of every Measurement.to_dict() in the
+# campaign of build_world(JobSpec(preset=..., seed=0).scenario_config()),
+# captured before the campaign-simulation speedups (censor per-domain memo,
+# O(users) failed-link tables).  Unlike GOLDEN_SHA256 this covers what the
+# pipeline ignores: traceroute RTTs, unmapped hops, and the _truth block.
+CAMPAIGN_SHA256 = {
+    "tiny": "435a9cdd37999f791f4380c85a54ba17ba362e931419dafd2aa09cb2ef16f7ed",
+    "small": "c264fc4556e93ab98e4e2d4513cadef17481a4ff39685958f5f5659ba783bd18",
+}
+
+
 def _result_sha(result) -> str:
     blob = json.dumps(result.to_dict(), sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _campaign_sha(dataset) -> str:
+    blob = json.dumps(
+        [measurement.to_dict() for measurement in dataset], sort_keys=True
+    ).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
 
 
@@ -48,6 +66,11 @@ class TestDeterminismGuard:
     def test_output_matches_pre_optimization_golden_hash(self, preset):
         outcome = run_job(JobSpec(preset=preset, seed=0))
         assert _result_sha(outcome.result) == GOLDEN_SHA256[preset]
+
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    def test_campaign_matches_pre_optimization_golden_hash(self, preset):
+        world = build_world(JobSpec(preset=preset, seed=0).scenario_config())
+        assert _campaign_sha(world.run_campaign()) == CAMPAIGN_SHA256[preset]
 
     def test_optimized_equals_reference_solver_path(
         self, tiny_world, tiny_dataset
