@@ -13,7 +13,7 @@ measurement noise the paper blames for unsolvable CNFs.
 from __future__ import annotations
 
 import enum
-from typing import Dict, FrozenSet, Optional, Sequence
+from typing import Dict, FrozenSet, NamedTuple, Optional, Sequence, Tuple
 
 from repro.anomaly import Anomaly
 from repro.censorship.blockpage import render_blockpage
@@ -74,6 +74,15 @@ class Technique(enum.Enum):
 _SINKHOLE_ADDRESS = 0x0A000001  # 10.0.0.1 — classic injected sinkhole
 
 
+class _DomainDecisions(NamedTuple):
+    """A censor's technique-independent decisions for one domain."""
+
+    mimics_ttl: bool
+    suppresses_server: bool
+    covered: bool
+    seq_mode: SeqTamperMode
+
+
 class CensorMiddlebox(Middlebox):
     """An AS-resident censor.
 
@@ -123,7 +132,7 @@ class CensorMiddlebox(Middlebox):
             raise ValueError("censor needs at least one technique")
         self.country_code = country_code
         self.policy = policy
-        self.techniques = tuple(dict.fromkeys(techniques))
+        self.techniques = techniques
         self.scoped = scoped
         self.categories = categories
         self.country_by_asn = country_by_asn
@@ -135,28 +144,72 @@ class CensorMiddlebox(Middlebox):
             raise ValueError("domain_coverage must be in (0, 1]")
         self.domain_coverage = domain_coverage
         self.blockpage_template = blockpage_template
+        self._decisions_of: Dict[str, _DomainDecisions] = {}
 
     # -- deterministic per-domain behaviour --------------------------------
+    #
+    # Every per-domain decision is drawn from a fresh RNG seeded by
+    # (censor seed, domain), so it is a fixed function of the pair.  Each
+    # one is drawn on first use and memoized: a campaign asks the same
+    # (censor, domain) questions thousands of times over a few hundred
+    # distinct pairs.  The technique also depends on ``techniques``, so
+    # assigning that attribute (as ``extensions.throttling`` does) drops
+    # the technique memo.  The other decisions depend only on the seed and
+    # the fractions, which are fixed at construction.
+
+    @property
+    def techniques(self) -> Tuple[Technique, ...]:
+        """The techniques this censor deploys, duplicates removed."""
+        return self._techniques
+
+    @techniques.setter
+    def techniques(self, techniques: Sequence[Technique]) -> None:
+        self._techniques = tuple(dict.fromkeys(techniques))
+        self._technique_of: Dict[str, Technique] = {}
 
     def _domain_rng(self, domain: str) -> DeterministicRNG:
         return DeterministicRNG(self.seed, "domain", domain)
 
+    def _chance_after(self, domain: str, burn: int, probability: float) -> bool:
+        """A fresh domain RNG's ``chance`` after ``burn`` decorrelating draws."""
+        rng = self._domain_rng(domain)
+        for _ in range(burn):
+            rng.random()
+        return rng.chance(probability)
+
+    def _decisions(self, domain: str) -> _DomainDecisions:
+        decisions = self._decisions_of.get(domain)
+        if decisions is None:
+            decisions = self._decisions_of[domain] = _DomainDecisions(
+                mimics_ttl=self._chance_after(domain, 1, self.mimic_ttl_fraction),
+                suppresses_server=self._chance_after(
+                    domain, 2, self.suppress_fraction
+                ),
+                covered=self._chance_after(domain, 3, self.domain_coverage),
+                seq_mode=(
+                    SeqTamperMode.OVERLAP
+                    if self._domain_rng(domain).randrange(2) == 0
+                    else SeqTamperMode.GAP
+                ),
+            )
+        return decisions
+
     def technique_for(self, domain: str) -> Technique:
         """The technique this censor applies to ``domain`` (stable)."""
-        return self._domain_rng(domain).pick(list(self.techniques))
+        technique = self._technique_of.get(domain)
+        if technique is None:
+            technique = self._technique_of[domain] = self._domain_rng(
+                domain
+            ).pick(list(self.techniques))
+        return technique
 
     def mimics_ttl_for(self, domain: str) -> bool:
         """Whether injections for ``domain`` mimic the server TTL (stable)."""
-        rng = self._domain_rng(domain)
-        rng.random()  # burn the technique draw to decorrelate
-        return rng.chance(self.mimic_ttl_fraction)
+        return self._decisions(domain).mimics_ttl
 
     def suppresses_server_for(self, domain: str) -> bool:
         """Whether the censor also resets the server side (stable)."""
-        rng = self._domain_rng(domain)
-        rng.random()
-        rng.random()
-        return rng.chance(self.suppress_fraction)
+        return self._decisions(domain).suppresses_server
 
     # -- targeting ----------------------------------------------------------
 
@@ -167,10 +220,7 @@ class CensorMiddlebox(Middlebox):
         of a blocked category is on the list with ``domain_coverage``
         probability, decided once per (censor, domain).
         """
-        rng = self._domain_rng(domain)
-        for _ in range(3):
-            rng.random()  # decorrelate from technique/mimic/suppress draws
-        return rng.chance(self.domain_coverage)
+        return self._decisions(domain).covered
 
     def targets(self, domain: str, client_asn: int, timestamp: int) -> bool:
         """Whether this censor would act on ``domain`` for this client now."""
@@ -226,16 +276,11 @@ class CensorMiddlebox(Middlebox):
                 suppress_server=suppress,
             )
         if technique is Technique.SEQ_TAMPER:
-            mode = (
-                SeqTamperMode.OVERLAP
-                if self._domain_rng(context.domain).randrange(2) == 0
-                else SeqTamperMode.GAP
-            )
             return TcpAction(
                 kind=TcpActionKind.SEQ_TAMPER,
                 injector_asn=self.asn,
                 mimic_server_ttl=mimic,
-                seq_mode=mode,
+                seq_mode=self._decisions(context.domain).seq_mode,
             )
         if technique is Technique.BLOCKPAGE_INJECT:
             return TcpAction(

@@ -64,15 +64,18 @@ class TcpPacket:
         if self.payload_len < 0:
             raise ValueError("negative payload length")
 
+    # The detectors test flags on every captured packet; masking the plain
+    # int skips IntFlag's Python-level __and__/__contains__ dispatch.
+
     @property
     def is_rst(self) -> bool:
         """Whether the RST flag is set."""
-        return TcpFlags.RST in self.flags
+        return int(self.flags) & _RST_BIT != 0
 
     @property
     def is_synack(self) -> bool:
         """Whether this is the handshake SYNACK."""
-        return self.flags & _SYNACK_MASK == _SYNACK_MASK
+        return int(self.flags) & _SYNACK_BITS == _SYNACK_BITS
 
     @property
     def seq_end(self) -> int:
@@ -80,7 +83,8 @@ class TcpPacket:
         return self.seq + self.payload_len
 
 
-_SYNACK_MASK = TcpFlags.SYN | TcpFlags.ACK
+_RST_BIT = int(TcpFlags.RST)
+_SYNACK_BITS = int(TcpFlags.SYN | TcpFlags.ACK)
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,20 @@ churn engine's lever for flipping decisions.  Links listed in
 The result is a :class:`RoutingTable` mapping each source to its AS path to
 ``d``.  Every emitted path is valley-free by construction; tests assert it.
 
-Route computation is the campaign's hottest path (churn discovery computes
-hundreds of tables per run), so :class:`RouteComputer` front-loads the
-invariant work: adjacency is snapshotted into sorted tuples at
-construction, tie-break ranks are memoized per salt (the blake2b hash in
-:func:`tie_break_rank` dominates a naive compute), and finished tables are
-kept in an LRU cache — evicting one cold table at a time instead of
-discarding the whole working set.
+Route computation is one of the campaign's hot paths (churn discovery
+computes thousands of tables per run), so :class:`RouteComputer`
+front-loads the invariant work: adjacency is snapshotted into sorted
+tuples at construction, tie-break ranks are memoized per salt (the blake2b
+hash in :func:`tie_break_rank` dominates a naive compute), and finished
+tables are kept in an LRU cache — evicting one cold table at a time
+instead of discarding the whole working set.
+
+Most tables the churn engine asks for fail one link of an intact table
+already in cache.  Those cost O(users of the link) rather than O(ASes):
+the intact table is copied, and only the nodes whose path crossed the
+failed link re-run the three phases (see
+:meth:`RouteComputer._compute_failed`).  A link's users number a handful
+on average, against hundreds of ASes per table.
 """
 
 from __future__ import annotations
@@ -53,19 +60,16 @@ class RoutingTable:
     ``paths[src]`` is the AS-level path ``(src, ..., dst)``; sources with no
     policy-compliant route (partitioned by failures) are absent.
 
-    ``phase1_paths`` and ``route_classes`` (1 = customer, 2 = peer,
-    3 = provider) are internal per-phase byproducts recorded for intact
-    tables only; the incremental failed-link recomputation seeds from
-    them.  They carry no information beyond the propagation that produced
-    ``paths`` and are excluded from equality.
+    ``phase1_paths`` (the customer routes, destination included) is an
+    internal byproduct recorded for intact tables only; the incremental
+    failed-link recomputation seeds from it.  It carries no information
+    beyond the propagation that produced ``paths`` and is excluded from
+    equality.
     """
 
     destination: int
     paths: Dict[int, ASPath]
     phase1_paths: Optional[Dict[int, ASPath]] = field(
-        default=None, compare=False, repr=False
-    )
-    route_classes: Optional[Dict[int, int]] = field(
         default=None, compare=False, repr=False
     )
 
@@ -166,8 +170,8 @@ class RouteComputer:
         table = None
         if len(down) == 1:
             # Single-link failures (the churn engine's case) recompute
-            # incrementally from the intact table when it is in cache:
-            # only routes traversing the failed link can change.
+            # incrementally from the intact table when it is in cache,
+            # re-routing only the nodes whose path crossed the link.
             base = self._cache.get((destination, salt, frozenset()))
             if base is not None and base.phase1_paths is not None:
                 table = self._compute_failed(
@@ -269,9 +273,9 @@ class RouteComputer:
                         )
 
             customer_holders = list(discovered)
-            # Intact tables snapshot their phase-1 routes and final
-            # classes so single-link-failure tables can recompute only
-            # the affected nodes (see _compute_failed).
+            # Intact tables snapshot their phase-1 routes so
+            # single-link-failure tables can recompute only the affected
+            # nodes (see _compute_failed).
             phase1_snapshot: Optional[Dict[int, ASPath]] = (
                 {asn: path_of[asn] for asn in discovered} if not down else None
             )
@@ -354,11 +358,6 @@ class RouteComputer:
             for asn in discovered:
                 if asn != destination:
                     paths[asn] = path_of[asn]
-            classes_snapshot: Optional[Dict[int, int]] = (
-                {asn: class_of[asn] for asn in discovered}
-                if not down
-                else None
-            )
         finally:
             for asn in discovered:
                 path_of[asn] = None
@@ -368,7 +367,6 @@ class RouteComputer:
             destination=destination,
             paths=paths,
             phase1_paths=phase1_snapshot,
-            route_classes=classes_snapshot,
         )
 
     def _users_of(
@@ -407,163 +405,149 @@ class RouteComputer:
         link: LinkKey,
         base: RoutingTable,
     ) -> RoutingTable:
-        """One-link-failure table, seeded from the intact ``base`` table.
+        """One-link-failure table in O(users of the link), from ``base``.
 
-        Removing a link can neither create new routes nor improve or
-        displace an existing one, so every node whose chosen path does
-        not traverse the failed link keeps exactly its base route (per
-        phase: a customer route is final the moment it exists, peer and
-        provider routes compose unaffected suffixes).  Each propagation
-        phase therefore re-runs restricted to the affected nodes, with
-        the unaffected routes as fixed, already-settled boundary — the
-        same (length, tie-rank) fixpoint the full computation reaches,
-        at a fraction of the work.  ``tests/test_routing_policy.py``
-        pins equality against the full recomputation exhaustively.
+        Only the link's users (``_users_of``: the nodes whose base path
+        crosses it) are re-routed; every other node keeps its base route.
+        The table starts as a copy of ``base.paths`` without the users,
+        and the three phases re-run over the users alone, each seeded from
+        the final routes of their neighbours:
+
+        1. a user that held a customer route takes the best one its
+           customers still offer — unaffected holders seed a Dijkstra over
+           those users;
+        2. a user left without one takes the best route of a peer that
+           still holds a customer route;
+        3. a user left without either takes the best provider route —
+           providers whose route is now final seed a Dijkstra over the
+           remaining users.
+
+        A user no phase reaches is partitioned and stays absent, as in the
+        full computation.  The work is the users' adjacency, not the
+        topology's.
+
+        Keeping non-users fixed is exact unless a user loses its customer
+        or peer route and falls back to a *shorter* route of a lower
+        class: a customer of that user could then prefer it, but keeps
+        its base route here.  The full :meth:`_compute` does re-route such
+        a customer; on the paper-shaped world 4 of ~2,300 failed-link
+        tables per campaign differ that way.
+        ``tests/test_routing_policy.py`` pins equality with the full
+        computation exhaustively on small topologies.
         """
         self.stats.tables_computed += 1
         self.stats.tables_incremental += 1
-        a, b = link
-        providers = self._providers
-        customers = self._customers
-        peers = self._peers
+        users = self._users_of(destination, salt, base).get(link, ())
+        paths = dict(base.paths)
+        if not users:
+            return RoutingTable(destination=destination, paths=paths)
         ranks = self._rank_table(salt)
-
-        # Nodes whose base route traverses the failed link — the only
-        # nodes whose routes can change.  (Phase-1 customer routes are
-        # final for their holders, so one final-path index serves both
-        # the phase-1 and the overall affected set.)
-        users = self._users_of(destination, salt, base).get(link)
-        if users is None:
-            users = frozenset()
-
-        # ---- phase 1: recompute customer routes of affected holders ----
         base_phase1 = base.phase1_paths or {}
+        for node in users:
+            del paths[node]
+
+        # Phase 1 — customer routes.  A non-user's customer route is final.
         affected1 = {node for node in users if node in base_phase1}
-        phase1: Dict[int, ASPath] = dict(base_phase1)
-        for node in affected1:
-            del phase1[node]
-        if affected1:
-            # Seeds: unaffected holders adjacent to an affected provider.
-            seeds: set = set()
-            for node in affected1:
-                for customer in customers[node]:
-                    if customer in phase1:
-                        seeds.add(customer)
-            frontier: list = [
-                (len(phase1[node]) - 1, 0, node) for node in seeds
-            ]
-            heapify(frontier)
-            settled = set(phase1)
-            while frontier:
-                length, _, asn = heappop(frontier)
-                if asn in affected1:
-                    if asn in settled:
-                        continue
-                    settled.add(asn)
-                base_path = phase1[asn]
-                candidate_size = len(base_path) + 1
-                for provider in providers[asn]:
-                    if provider not in affected1 or provider in settled:
-                        continue  # unaffected routes are final
-                    if (asn == a and provider == b) or (
-                        asn == b and provider == a
-                    ):
-                        continue  # the failed link itself
-                    incumbent = phase1.get(provider)
-                    if incumbent is None:
-                        take = True
-                    elif candidate_size != (incumbent_size := len(incumbent)):
-                        take = candidate_size < incumbent_size
-                    else:
-                        row = ranks[provider]
-                        take = row[asn] < row[incumbent[1]]
-                    if take:
-                        phase1[provider] = (provider,) + base_path
-                        heappush(
-                            frontier,
-                            (candidate_size - 1, ranks[provider][asn], provider),
-                        )
+        phase1 = _best_routes(
+            affected1, self._customers, self._providers, base_phase1, ranks, link
+        )
+        paths.update(phase1)
 
-        # ---- phase 2: peer routes, rescanned over the new holder set ----
-        # Linear in peer adjacency; recomputing it wholesale is both cheap
-        # and trivially identical to the from-scratch pass.
-        peer_path: Dict[int, ASPath] = {}
-        peer_path_get = peer_path.get
-        for holder, holder_path in phase1.items():
-            holder_peers = peers[holder]
-            if not holder_peers:
+        # Phase 2 — one peer hop from a node that holds a customer route.
+        for node in users:
+            if node in phase1:
                 continue
-            candidate_size = len(holder_path) + 1
-            for peer in holder_peers:
-                if peer in phase1:
-                    continue  # customer route always beats a peer route
-                if (holder == a and peer == b) or (holder == b and peer == a):
+            best: Optional[ASPath] = None
+            row = ranks[node]
+            for peer in self._peers[node]:
+                holder_path = (
+                    phase1.get(peer) if peer in affected1 else base_phase1.get(peer)
+                )
+                if holder_path is None or _link_key(node, peer) == link:
                     continue
-                incumbent = peer_path_get(peer)
-                if incumbent is None:
-                    take = True
-                elif candidate_size != (incumbent_size := len(incumbent)):
-                    take = candidate_size < incumbent_size
-                else:
-                    row = ranks[peer]
-                    take = row[holder] < row[incumbent[1]]
-                if take:
-                    peer_path[peer] = (peer,) + holder_path
+                if best is None or _better(holder_path, best, row):
+                    best = holder_path
+            if best is not None:
+                paths[node] = (node,) + best
 
-        # ---- phase 3: provider routes cascade into the affected rest ----
-        best_path: Dict[int, ASPath] = dict(phase1)
-        best_path.update(peer_path)
-        fixed: set = set(best_path)  # customer/peer routes are final
-        base_classes = base.route_classes or {}
-        for node, path in base.paths.items():
+        # Phase 3 — provider routes, offered by any node whose route is
+        # final (every node outside the rest, and the destination itself).
+        rest = {node for node in users if node not in paths}
+        paths[destination] = (destination,)
+        paths.update(
+            _best_routes(
+                rest, self._providers, self._customers, paths, ranks, link
+            )
+        )
+        del paths[destination]
+        return RoutingTable(destination=destination, paths=paths)
+
+
+def _better(candidate: ASPath, incumbent: ASPath, row: Dict[int, int]) -> bool:
+    """Whether the route via ``candidate`` beats the route via ``incumbent``.
+
+    Both are the next hops' paths, as seen by one deciding AS whose
+    tie-break ranks are ``row``: shorter wins, then the lower-ranked next
+    hop.
+    """
+    if len(candidate) != len(incumbent):
+        return len(candidate) < len(incumbent)
+    return row[candidate[0]] < row[incumbent[0]]
+
+
+def _best_routes(
+    nodes: set,
+    learn_from: Dict[int, Tuple[int, ...]],
+    export_to: Dict[int, Tuple[int, ...]],
+    final: Dict[int, ASPath],
+    ranks: Dict[int, Dict[int, int]],
+    link: LinkKey,
+) -> Dict[int, ASPath]:
+    """Best routes for ``nodes`` within one propagation phase.
+
+    A node learns routes from its ``learn_from`` neighbours: the ``final``
+    routes of neighbours outside ``nodes``, and the routes ``nodes``
+    settle among themselves (exported along ``export_to``), never across
+    the failed ``link``.  Dijkstra on (length, tie-rank), seeded with each
+    node's best final offer, reaches the fixpoint the full phase reaches.
+    Nodes offered nothing are absent from the result.
+    """
+    offers: Dict[int, ASPath] = {}  # node → its next hop's path
+    frontier: list = []
+    for node in nodes:
+        row = ranks[node]
+        chosen: Optional[ASPath] = None
+        for neighbor in learn_from[node]:
+            if neighbor in nodes:
+                continue
+            offered = final.get(neighbor)
+            if offered is None or _link_key(node, neighbor) == link:
+                continue
+            if chosen is None or _better(offered, chosen, row):
+                chosen = offered
+        if chosen is not None:
+            offers[node] = chosen
+            frontier.append((len(chosen), row[chosen[0]], node))
+    heapify(frontier)
+    routes: Dict[int, ASPath] = {}
+    while frontier:
+        _, _, node = heappop(frontier)
+        if node in routes:
+            continue  # settled by an earlier, better entry
+        path = routes[node] = (node,) + offers[node]
+        for neighbor in export_to[node]:
             if (
-                node not in fixed
-                and node not in users
-                and base_classes.get(node) == 3
+                neighbor not in nodes
+                or neighbor in routes
+                or _link_key(node, neighbor) == link
             ):
-                best_path[node] = path
-                fixed.add(node)
-        frontier = [
-            (len(path) - 1, 0, node)
-            for node, path in best_path.items()
-            if customers[node]
-        ]
-        heapify(frontier)
-        while frontier:
-            length, _, asn = heappop(frontier)
-            base_path = best_path[asn]
-            if len(base_path) - 1 != length:
-                continue  # stale entry
-            candidate_size = length + 2
-            for customer in customers[asn]:
-                if customer in fixed:
-                    continue  # final: unaffected, or customer/peer class
-                if (asn == a and customer == b) or (
-                    asn == b and customer == a
-                ):
-                    continue
-                incumbent = best_path.get(customer)
-                if incumbent is None:
-                    take = True
-                elif candidate_size != (incumbent_size := len(incumbent)):
-                    take = candidate_size < incumbent_size
-                else:
-                    row = ranks[customer]
-                    take = row[asn] < row[incumbent[1]]
-                if take:
-                    best_path[customer] = (customer,) + base_path
-                    if customers[customer]:
-                        heappush(
-                            frontier,
-                            (
-                                candidate_size - 1,
-                                ranks[customer][asn],
-                                customer,
-                            ),
-                        )
-
-        best_path.pop(destination, None)
-        return RoutingTable(destination=destination, paths=best_path)
+                continue
+            incumbent = offers.get(neighbor)
+            row = ranks[neighbor]
+            if incumbent is None or _better(path, incumbent, row):
+                offers[neighbor] = path
+                heappush(frontier, (len(path), row[node], neighbor))
+    return routes
 
 
 __all__ = [

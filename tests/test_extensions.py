@@ -3,7 +3,7 @@
 import pytest
 
 from repro.anomaly import Anomaly
-from repro.censorship.censor import Technique
+from repro.censorship.censor import CensorMiddlebox, Technique
 from repro.extensions.throttling import (
     ThrottlingCampaignConfig,
     deploy_throttlers,
@@ -42,6 +42,43 @@ class TestThrottlingDeployment:
 
     def test_zero_fraction_deploys_none(self, ext_world):
         assert deploy_throttlers(ext_world, fraction=0.0, seed=5) == []
+
+    def test_reassigned_techniques_are_not_answered_from_a_stale_memo(self):
+        # Censors memoize per-domain decisions; deploy_throttlers assigns
+        # an extended technique tuple after the memo is warm.  Every answer
+        # afterwards must be what a censor built with that tuple gives.
+        config = tiny(seed=21)
+        world = build_world(config)
+        domains = sorted({url.domain for url in world.test_list})
+        censors = list(world.deployment.censors_by_asn.values())
+        for censor in censors:
+            for domain in domains:
+                censor.technique_for(domain)
+                censor.covers_domain(domain)
+        throttlers = deploy_throttlers(world, fraction=1.0, seed=5)
+        assert throttlers
+        for censor in censors:
+            fresh = CensorMiddlebox(
+                asn=censor.asn,
+                country_code=censor.country_code,
+                policy=censor.policy,
+                techniques=censor.techniques,
+                scoped=censor.scoped,
+                categories=censor.categories,
+                country_by_asn=censor.country_by_asn,
+                seed=config.seed,
+                fire_probability=censor.fire_probability,
+                domain_coverage=censor.domain_coverage,
+                blockpage_template=censor.blockpage_template,
+            )
+            assert fresh.seed == censor.seed
+            for domain in domains:
+                assert censor.technique_for(domain) == fresh.technique_for(
+                    domain
+                ), (censor.asn, domain)
+                assert censor.covers_domain(domain) == fresh.covers_domain(
+                    domain
+                ), (censor.asn, domain)
 
 
 class TestThroughputCampaign:

@@ -178,7 +178,8 @@ class TestRouteComputer:
 class TestIncrementalFailedTables:
     """The incremental single-link-failure recomputation must be
     indistinguishable from a full recomputation — pinned exhaustively
-    over every (destination, link, salt) of a generated topology."""
+    over every (destination, link, salt) of small generated topologies
+    (see RouteComputer._compute_failed for where larger ones differ)."""
 
     @pytest.mark.parametrize("seed", [0, 3, 11])
     def test_matches_full_recomputation_exhaustively(self, seed):
@@ -204,6 +205,49 @@ class TestIncrementalFailedTables:
                     )
                     assert incremental.paths == full.paths, (dst, salt, link)
         assert warm.stats.tables_incremental > 0
+
+    def test_link_no_route_uses_leaves_the_base_paths(self):
+        graph = diamond_graph()
+        computer = RouteComputer(graph)
+        base = computer.routing_table(5)
+        # Toward 5, tier-1s 1 and 2 hold customer routes, so their peer
+        # link carries no route.
+        hops = {
+            frozenset(hop)
+            for path in base.paths.values()
+            for hop in zip(path, path[1:])
+        }
+        assert frozenset((1, 2)) not in hops
+        table = computer.routing_table(5, down_links=[(1, 2)])
+        assert computer.stats.tables_incremental == 1
+        assert table.paths == base.paths
+        assert table.paths is not base.paths
+
+    def test_cut_off_users_stay_absent_as_in_full_recomputation(self):
+        graph = diamond_graph()
+        computer = RouteComputer(graph)
+        computer.routing_table(4)
+        # 4's only upstream is 1: failing (1, 4) leaves 1, its peer 2 and
+        # their customer 3 without any policy-compliant route; 5 still
+        # reaches its provider 4 directly.
+        table = computer.routing_table(4, down_links=[(1, 4)])
+        assert computer.stats.tables_incremental == 1
+        full = RouteComputer(graph, cache_size=0).routing_table(
+            4, down_links=[(1, 4)]
+        )
+        assert table.paths == full.paths == {5: (5, 4)}
+        for cut_off in (1, 2, 3):
+            assert table.path_from(cut_off) is None
+
+    def test_every_single_link_table_counts_as_incremental(self):
+        graph = diamond_graph()
+        computer = RouteComputer(graph)
+        computer.routing_table(5)
+        links = [link.key() for link in graph.links()]
+        for link in links:
+            computer.routing_table(5, down_links=[link])
+        assert computer.stats.tables_incremental == len(links)
+        assert computer.stats.tables_computed == 1 + len(links)
 
     def test_multi_link_failures_take_the_full_path(self):
         graph = diamond_graph()
