@@ -79,11 +79,11 @@ def convert_traceroute(
     resolve = ip2as.resolver_at(timestamp)
     mapped: List[Optional[int]] = []
     any_mapped = False
-    for hop in traceroute.hops:
-        if hop.address is None:
+    for _, address, _ in traceroute.hops:
+        if address is None:
             mapped.append(None)
             continue
-        asn = resolve(hop.address)
+        asn = resolve(address)
         mapped.append(asn)
         if asn is not None:
             any_mapped = True
@@ -133,7 +133,7 @@ def convert_measurement(
     for traceroute in measurement.traceroutes:
         if cache is not None:
             signature = (
-                tuple(hop.address for hop in traceroute.hops),
+                tuple([address for _, address, _ in traceroute.hops]),
                 traceroute.error,
                 traceroute.destination_reached,
                 epoch_key,

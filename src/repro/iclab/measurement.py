@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.anomaly import Anomaly
-from repro.traceroute.simulate import Traceroute, TracerouteHop
+from repro.traceroute.simulate import Traceroute
 
 _REQUIRED_ANOMALIES = Anomaly.all()
 
@@ -76,8 +76,8 @@ class Measurement:
                     "error": tr.error,
                     "destination_reached": tr.destination_reached,
                     "hops": [
-                        {"index": hop.index, "address": hop.address, "rtt": hop.rtt}
-                        for hop in tr.hops
+                        {"index": index, "address": address, "rtt": rtt}
+                        for index, address, rtt in tr.hops
                     ],
                 }
                 for tr in self.traceroutes
@@ -94,9 +94,7 @@ class Measurement:
         traceroutes = tuple(
             Traceroute(
                 hops=tuple(
-                    TracerouteHop(
-                        index=hop["index"], address=hop["address"], rtt=hop["rtt"]
-                    )
+                    (hop["index"], hop["address"], hop["rtt"])
                     for hop in tr["hops"]
                 ),
                 destination_reached=tr["destination_reached"],

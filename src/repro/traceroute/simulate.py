@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from repro.netsim.path import RouterPath
 from repro.util.rng import DeterministicRNG
@@ -36,21 +36,12 @@ class TracerouteParams:
     #                                        the pair churned very recently
 
 
-class TracerouteHop(NamedTuple):
-    """One line of traceroute output: an address or a ``*``.
-
-    A NamedTuple rather than a dataclass: tens of thousands are built per
-    campaign and tuple construction is the cheapest immutable record.
-    """
-
-    index: int
-    address: Optional[int]  # None == non-responsive ("*")
-    rtt: Optional[float]
-
-    @property
-    def responded(self) -> bool:
-        """Whether the hop answered."""
-        return self.address is not None
+# One line of traceroute output: ``(index, address, rtt)``, with ``address``
+# and ``rtt`` both ``None`` for a non-responsive hop ("*").  An exact tuple
+# of ints, floats and ``None``: the garbage collector untracks it, and then
+# the run's ``hops`` tuple, within the first collections they survive, so
+# the ~400k hops of a paper-shaped campaign stay out of full collections.
+TracerouteHop = Tuple[int, Optional[int], Optional[float]]
 
 
 @dataclass(frozen=True)
@@ -64,7 +55,7 @@ class Traceroute:
     @property
     def responsive_addresses(self) -> List[int]:
         """Addresses of hops that answered, in order."""
-        return [hop.address for hop in self.hops if hop.address is not None]
+        return [address for _, address, _ in self.hops if address is not None]
 
     def __len__(self) -> int:
         return len(self.hops)
@@ -87,7 +78,6 @@ def simulate_traceroute(
     """
     if rng.chance(params.error_probability):
         return Traceroute(hops=(), destination_reached=False, error=True)
-    uniform = rng.random
     truncation_probability = params.truncation_probability
     nonresponse_probability = params.hop_nonresponse_probability
     if not (0.0 < truncation_probability < 1.0) or not (
@@ -149,23 +139,20 @@ def _run_traceroute_plan(
     jitter_rate = 2.0 / params.per_hop_rtt if params.per_hop_rtt > 0 else None
     hops: List[TracerouteHop] = []
     append = hops.append
-    # Direct tuple construction: the generated NamedTuple __new__ is a
-    # Python-level lambda, measurable at this call volume.
-    new_hop = tuple.__new__
     truncated = False
     for hop_index, address, base_rtt in plan:
         if uniform() < truncation_probability:
             truncated = True
             break
         if uniform() < nonresponse_probability:
-            append(new_hop(TracerouteHop, (hop_index, None, None)))
+            append((hop_index, None, None))
             continue
         if jitter_rate is not None:
             rtt = base_rtt + -log(1.0 - uniform()) / jitter_rate
         else:
             rtt = base_rtt
-        append(new_hop(TracerouteHop, (hop_index, address, rtt)))
-    reached = not truncated and bool(hops) and hops[-1].responded
+        append((hop_index, address, rtt))
+    reached = not truncated and bool(hops) and hops[-1][1] is not None
     return Traceroute(hops=tuple(hops), destination_reached=reached)
 
 
@@ -182,14 +169,12 @@ def _simulate_traceroute_general(
             truncated = True
             break
         if rng.chance(params.hop_nonresponse_probability):
-            hops.append(TracerouteHop(index=hop.hop_index, address=None, rtt=None))
+            hops.append((hop.hop_index, None, None))
             continue
         rtt = (hop.hop_index + 1) * 2 * params.per_hop_rtt
         rtt += rng.exponential_jitter(params.per_hop_rtt / 2)
-        hops.append(
-            TracerouteHop(index=hop.hop_index, address=hop.address, rtt=rtt)
-        )
-    reached = not truncated and bool(hops) and hops[-1].responded
+        hops.append((hop.hop_index, hop.address, rtt))
+    reached = not truncated and bool(hops) and hops[-1][1] is not None
     return Traceroute(hops=tuple(hops), destination_reached=reached)
 
 

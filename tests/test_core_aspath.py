@@ -11,7 +11,7 @@ from repro.core.aspath import (
 )
 from repro.iclab.measurement import Measurement
 from repro.topology.ip2as import IpToAsEpoch, IpToAsDatabase
-from repro.traceroute.simulate import Traceroute, TracerouteHop
+from repro.traceroute.simulate import Traceroute
 from repro.util.ipv4 import Prefix
 from repro.util.timeutil import DAY
 
@@ -39,7 +39,7 @@ def addr(prefix_index, host=1):
 
 def trace(addresses, reached=True, error=False):
     hops = tuple(
-        TracerouteHop(index=i, address=a, rtt=0.01 if a else None)
+        (i, a, 0.01 if a else None)
         for i, a in enumerate(addresses)
     )
     return Traceroute(hops=hops, destination_reached=reached, error=error)

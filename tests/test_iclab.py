@@ -10,7 +10,7 @@ from repro.iclab.measurement import Measurement
 from repro.iclab.platform import ICLabPlatform, PlatformConfig
 from repro.iclab.vantage import VantageKind, select_vantage_points
 from repro.topology.asn import ASType
-from repro.traceroute.simulate import Traceroute, TracerouteHop
+from repro.traceroute.simulate import Traceroute
 from repro.util.rng import DeterministicRNG
 from repro.util.timeutil import DAY
 
@@ -29,7 +29,7 @@ def make_measurement(mid=0, timestamp=0, anomalies=None, vantage=1, dest=9,
         anomalies=anomalies or {a: False for a in Anomaly.all()},
         traceroutes=(
             Traceroute(
-                hops=(TracerouteHop(index=0, address=123, rtt=0.01),),
+                hops=((0, 123, 0.01),),
                 destination_reached=True,
             ),
         ),
@@ -82,6 +82,19 @@ class TestMeasurement:
         m = make_measurement(mid=5, timestamp=100)
         clone = Measurement.from_dict(m.to_dict())
         assert clone == m
+
+    def test_roundtrip_campaign_measurements(self, tiny_dataset):
+        """Simulated records (RTT floats, silent hops, error runs) survive
+        to_dict/from_dict, and the rebuilt hops are exact tuples too."""
+        silent_hops = 0
+        for m in tiny_dataset:
+            clone = Measurement.from_dict(m.to_dict())
+            assert clone == m
+            for traceroute in clone.traceroutes:
+                for hop in traceroute.hops:
+                    assert type(hop) is tuple
+                    silent_hops += hop[1] is None
+        assert silent_hops > 0
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError):

@@ -15,15 +15,17 @@ path) must be *invisible* in results and *pinned* in behaviour:
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
+import pickle
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig
 from repro.core.problem import ProblemSolveCache, TomographyProblem
 from repro.core.splitting import split_observations
-from repro.core.observations import build_observations
+from repro.core.observations import Observation, build_observations
 from repro.routing.bgp import RouteComputer
 from repro.runner import JobSpec, run_job
 from repro.scenario.world import build_world
@@ -203,6 +205,56 @@ class TestRouteComputerLru:
                 tight.routing_table(asn).paths
                 == unbounded.routing_table(asn).paths
             )
+
+
+class TestHeapShape:
+    """The campaign's bulk records stay out of the collector's way.
+
+    Hops are exact tuples of atoms, so a collection untracks them and the
+    ``hops`` tuples holding them; observations are slotted, so none
+    carries an instance dict.  A NamedTuple hop or a dict-backed
+    observation would put hundreds of thousands of objects back in every
+    full collection of a paper-shaped run.
+    """
+
+    @pytest.fixture(scope="class")
+    def converted(self):
+        world = build_world(
+            JobSpec(
+                preset="tiny", seed=5, duration_days=3, num_urls=4,
+                num_vantage_points=5,
+            ).scenario_config()
+        )
+        dataset = world.run_campaign()
+        observations, _ = build_observations(dataset, world.ip2as)
+        # One full collection untracks every hop; a ``hops`` tuple the
+        # pass reached before its hops is untracked by the next one.
+        gc.collect()
+        gc.collect()
+        return dataset, observations
+
+    def test_hops_are_untracked(self, converted):
+        dataset, _ = converted
+        runs = [tr for m in dataset for tr in m.traceroutes if tr.hops]
+        assert runs
+        for traceroute in runs:
+            assert not gc.is_tracked(traceroute.hops)
+            for hop in traceroute.hops:
+                assert not gc.is_tracked(hop)
+
+    def test_observations_have_no_instance_dict(self, converted):
+        _, observations = converted
+        assert observations
+        assert not any(hasattr(o, "__dict__") for o in observations)
+
+    def test_observation_survives_pickle(self, converted):
+        _, observations = converted
+        observation = observations[0]
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(observation, protocol))
+            assert type(clone) is Observation
+            assert clone == observation
+            assert hash(clone) == hash(observation)
 
 
 class TestPerfInstrumentation:

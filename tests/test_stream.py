@@ -24,6 +24,7 @@ import json
 import pytest
 
 from repro.anomaly import Anomaly
+from repro.api import LocalizationSession, SessionConfig
 from repro.core.observations import Observation, build_observations
 from repro.core.pipeline import PipelineConfig
 from repro.core.problem import SolutionStatus, TomographyProblem
@@ -36,7 +37,6 @@ from repro.stream import (
     StreamingLocalizer,
     VerdictKind,
     replay_dataset,
-    replay_stored_job,
     stream_campaign,
 )
 from repro.stream.state import ProblemState, StreamStats
@@ -107,7 +107,9 @@ class TestBatchEquivalence:
         )
         store = ResultStore(tmp_path)
         store.put(run_job(job).record)
-        outcome = replay_stored_job(store, job)
+        outcome = LocalizationSession(
+            SessionConfig.from_job(job)
+        ).replay_stored(store)
         assert outcome.mismatches == ()
         assert outcome.verified is True
 
@@ -433,7 +435,9 @@ class TestDripFeed:
         )
         store = ResultStore(tmp_path)
         store.put(run_job(job).record)
-        outcome = replay_stored_job(store, job)
+        outcome = LocalizationSession(
+            SessionConfig.from_job(job)
+        ).replay_stored(store)
         assert outcome.verified is True
         assert outcome.mismatches == ()
 
@@ -442,7 +446,9 @@ class TestDripFeed:
             preset="tiny", seed=12, duration_days=2, num_urls=2,
             num_vantage_points=3,
         )
-        outcome = replay_stored_job(ResultStore(tmp_path), job)
+        outcome = LocalizationSession(
+            SessionConfig.from_job(job)
+        ).replay_stored(ResultStore(tmp_path))
         assert outcome.verified is None
 
 

@@ -35,7 +35,7 @@ class TestSingleRun:
 
     def test_rtts_monotonic_on_perfect_run(self):
         run = simulate_traceroute(make_path(), DeterministicRNG(0, "t"), NO_FAILURES)
-        rtts = [hop.rtt for hop in run.hops]
+        rtts = [rtt for _, _, rtt in run.hops]
         assert all(r is not None for r in rtts)
         # RTT grows with distance modulo small jitter; check overall trend
         assert rtts[-1] > rtts[0]
@@ -83,11 +83,41 @@ class TestSingleRun:
         total = silent = 0
         for _ in range(200):
             run = simulate_traceroute(make_path(), rng, params)
-            for hop in run.hops:
+            for _, address, _ in run.hops:
                 total += 1
-                if not hop.responded:
+                if address is None:
                     silent += 1
         assert 0.25 < silent / total < 0.35
+
+
+class TestHopRecords:
+    """Both per-hop loops build the same record: an exact
+    ``(index, address, rtt)`` tuple, which the garbage collector can
+    untrack (a tuple subclass never is)."""
+
+    def test_general_loop_emits_exact_tuples(self):
+        path = make_path()
+        run = simulate_traceroute(path, DeterministicRNG(0, "t"), NO_FAILURES)
+        assert run.hops
+        assert all(type(hop) is tuple for hop in run.hops)
+        assert [hop[0] for hop in run.hops] == [h.hop_index for h in path.hops]
+
+    def test_plan_loop_emits_exact_tuples(self):
+        path = make_path(20)
+        plan_cache = {}
+        runs = [
+            simulate_traceroute(
+                path, DeterministicRNG(i, "t"), TracerouteParams(),
+                plan_cache=plan_cache,
+            )
+            for i in range(20)
+        ]
+        assert plan_cache  # the default params take the plan loop
+        hops = [hop for run in runs for hop in run.hops]
+        assert all(type(hop) is tuple and len(hop) == 3 for hop in hops)
+        silent = [hop for hop in hops if hop[1] is None]
+        assert silent and all(hop[2] is None for hop in silent)
+        assert len(silent) < len(hops)
 
 
 class TestTriplet:
