@@ -5,9 +5,13 @@ harness: the SAT solver, route computation, session simulation, and
 traceroute-to-AS-path conversion.
 """
 
+import contextlib
+import gc
 import itertools
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -272,6 +276,62 @@ def test_micro_rebalance_commit(benchmark, bench_world, bench_dataset,
     )
 
 
+def _timed(function, times, context=contextlib.nullcontext):
+    """Run ``function`` inside ``context`` with the collector paused,
+    appending its wall time (the context's own setup untimed)."""
+    with context():
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            result = function()
+            times.append(time.perf_counter() - started)
+        finally:
+            if enabled:
+                gc.enable()
+    return result
+
+
+def _overhead(benchmark, bare, instrumented, context=contextlib.nullcontext,
+              rounds=7):
+    """Relative cost of ``instrumented`` over ``bare``, measured alike.
+
+    Each pedantic round times one instrumented call (the target) and one
+    bare call, alternately just before it (setup) and just after it
+    (teardown), both with GC paused whatever ``--benchmark-disable-gc``
+    says.  The overhead is the median of the rounds' paired ratios, so
+    host drift between rounds and a slow outlier on either side cancel
+    instead of landing on one side alone.  ``context`` wraps each
+    instrumented call outside its timer.  Returns the last instrumented
+    result, the median bare time and the overhead.
+    """
+    bare_times, instrumented_times = [], []
+
+    # pedantic reads a setup's return value as arguments: return None.
+    def bare_before():
+        if len(instrumented_times) % 2 == 0:
+            _timed(bare, bare_times)
+
+    def bare_after():
+        if len(bare_times) < len(instrumented_times):
+            _timed(bare, bare_times)
+
+    bare()                              # warm caches before timing
+    with context():
+        instrumented()
+    result = benchmark.pedantic(
+        lambda: _timed(instrumented, instrumented_times, context),
+        setup=bare_before,
+        teardown=bare_after,
+        rounds=rounds,
+        iterations=1,
+    )
+    ratios = [i / b for i, b in zip(instrumented_times, bare_times)]
+    return result, statistics.median(bare_times), (
+        statistics.median(ratios) - 1.0
+    )
+
+
 def test_micro_metrics_overhead(benchmark, bench_world, bench_dataset):
     """Cost of a live metrics registry on the hot ingest path.
 
@@ -284,8 +344,6 @@ def test_micro_metrics_overhead(benchmark, bench_world, bench_dataset):
     (15%) to survive noisy CI machines; the recorded ``overhead_pct``
     is the budgeted number (<5% on an idle machine).
     """
-    import time as time_module
-
     from repro.obs.metrics import MetricsRegistry
 
     observations, _ = build_observations(bench_dataset, bench_world.ip2as)
@@ -303,20 +361,11 @@ def test_micro_metrics_overhead(benchmark, bench_world, bench_dataset):
             engine.ingest_observation(observation)
         return engine.drain()
 
-    drain(None)                         # warm caches before timing
-    baseline = min(
-        (lambda t0: (drain(None), time_module.perf_counter() - t0)[1])(
-            time_module.perf_counter()
-        )
-        for _ in range(3)
-    )
-    instrumented = benchmark.pedantic(
-        lambda: drain(MetricsRegistry()), rounds=3, iterations=1
+    instrumented, baseline, overhead = _overhead(
+        benchmark, lambda: drain(None), lambda: drain(MetricsRegistry())
     )
     bare = drain(None)
     assert instrumented.to_dict() == bare.to_dict()
-    mean_seconds = benchmark.stats.stats.mean
-    overhead = mean_seconds / baseline - 1.0
     assert overhead < 0.15, f"metrics overhead {overhead:.1%}"
     benchmark.extra_info["observations"] = len(feed)
     benchmark.extra_info["baseline_ms"] = round(baseline * 1000, 2)
@@ -340,7 +389,6 @@ def test_micro_obs_overhead(benchmark, bench_world, bench_dataset):
     """
     import io
     import logging
-    import time as time_module
 
     from repro.obs import log as obslog
     from repro.obs.spans import SpanRecorder
@@ -366,34 +414,31 @@ def test_micro_obs_overhead(benchmark, bench_world, bench_dataset):
         )
         return result
 
-    drain(None)                         # warm caches before timing
-    baseline = min(
-        (lambda t0: (drain(None), time_module.perf_counter() - t0)[1])(
-            time_module.perf_counter()
-        )
-        for _ in range(3)
-    )
     recorders = []
 
     def instrumented_drain():
         recorders.append(SpanRecorder())
         return drain(recorders[-1])
 
-    root = obslog.configure(level="info", json_lines=True, stream=io.StringIO())
-    try:
-        instrumented = benchmark.pedantic(
-            instrumented_drain, rounds=3, iterations=1
+    @contextlib.contextmanager
+    def logging_on():
+        root = obslog.configure(
+            level="info", json_lines=True, stream=io.StringIO()
         )
-    finally:
-        for handler in list(root.handlers):
-            if getattr(handler, "_repro_configured", False):
-                root.removeHandler(handler)
-        root.setLevel(logging.NOTSET)
+        try:
+            yield
+        finally:
+            for handler in list(root.handlers):
+                if getattr(handler, "_repro_configured", False):
+                    root.removeHandler(handler)
+            root.setLevel(logging.NOTSET)
+
+    instrumented, baseline, overhead = _overhead(
+        benchmark, lambda: drain(None), instrumented_drain, logging_on
+    )
     bare = drain(None)
     assert instrumented.to_dict() == bare.to_dict()
     assert recorders[-1].snapshot(), "no spans recorded while enabled"
-    mean_seconds = benchmark.stats.stats.mean
-    overhead = mean_seconds / baseline - 1.0
     assert overhead < 0.15, f"logging+span overhead {overhead:.1%}"
     benchmark.extra_info["observations"] = len(feed)
     benchmark.extra_info["baseline_ms"] = round(baseline * 1000, 2)

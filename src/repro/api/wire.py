@@ -64,21 +64,31 @@ live engine — logged, so destination recovery replays the adoption),
 and ``rebalance_commit`` (drop stashes at or below the epoch — logged).
 Slices travel in the :mod:`repro.stream.checkpoint` dict format, the
 same one restore/recovery baselines use.
+
+Format 5 changed how pickled observations are named, not what frames
+carry.  An :class:`~repro.core.observations.Observation` now pickles as
+a call to ``repro.core.observations._observation``, the slot-filling
+constructor, so a drained ``PipelineResult`` (every observation group
+of the campaign) decodes without the keyword ``__init__``.  A peer on
+an older build has no such constructor and would fail with
+``AttributeError`` mid-unpickle; the bump makes it refuse at the hello
+or attach exchange instead.
 """
 
 from __future__ import annotations
 
+import gc
 import pickle
 from typing import Any, Dict, Optional, Tuple
 
 from repro.anomaly import Anomaly
-from repro.core.observations import Observation
+from repro.core.observations import Observation, _observation
 from repro.core.problem import ProblemSolution, SolutionStatus
 from repro.core.splitting import Granularity, ProblemKey
 from repro.stream.events import VerdictEvent, VerdictKind
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 4
+WIRE_FORMAT = 5
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -99,14 +109,35 @@ class WireFormatError(RuntimeError):
 # -- framing ----------------------------------------------------------------
 
 
+# Both directions pause the cyclic collector.  A bulk frame (a drained
+# result, a drain payload) builds tens of thousands of objects, and
+# every collection triggered meanwhile walks them all to find no
+# garbage.  The collector's state is process-wide: each call restores
+# what it found, so it never turns GC on for a caller that had it off,
+# and two overlapping calls on different threads can at worst leave one
+# of them running with GC on.
+
+
 def encode(message: Tuple) -> bytes:
     """One protocol message as one frame's payload bytes."""
-    return pickle.dumps(message, _PROTOCOL)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.dumps(message, _PROTOCOL)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def decode(data: bytes) -> Tuple:
     """Inverse of :func:`encode`."""
-    return pickle.loads(data)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- observations ------------------------------------------------------------
@@ -132,13 +163,13 @@ def observation_to_wire(
 
 
 def observation_from_wire(payload: Tuple) -> Observation:
-    return Observation(
-        url=payload[0],
-        anomaly=_ANOMALY_BY_VALUE[payload[1]],
-        detected=payload[2],
-        as_path=tuple(payload[3]),
-        timestamp=payload[4],
-        measurement_id=payload[5],
+    return _observation(
+        payload[0],
+        _ANOMALY_BY_VALUE[payload[1]],
+        payload[2],
+        tuple(payload[3]),
+        payload[4],
+        payload[5],
     )
 
 

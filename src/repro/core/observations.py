@@ -39,12 +39,13 @@ class Observation:
             raise ValueError("observation requires a non-empty AS path")
 
     def __reduce__(self):
-        # Pickle as a constructor call.  The __getstate__/__setstate__
-        # pair dataclasses add to frozen slotted classes walks fields()
-        # per instance in Python, twice as slow both ways, and a served
-        # drain result pickles every observation of the campaign.
+        # Pickle as a call to the slot-filling constructor below, not
+        # through the per-instance fields() walk of the state pair
+        # dataclasses add to frozen slotted classes, nor the keyword
+        # __init__: a served drain result carries every observation of
+        # the campaign.
         return (
-            Observation,
+            _observation,
             (
                 self.url,
                 self.anomaly,
@@ -66,9 +67,6 @@ class Observation:
         return self.as_path[-1]
 
 
-# The slot setters observations_of builds with.  The frozen dataclass
-# __init__ stores each field through object.__setattr__, which makes it
-# about twice as slow per observation as filling the slots.
 _new_observation = object.__new__
 _set_url = Observation.url.__set__
 _set_anomaly = Observation.anomaly.__set__
@@ -76,6 +74,34 @@ _set_detected = Observation.detected.__set__
 _set_as_path = Observation.as_path.__set__
 _set_timestamp = Observation.timestamp.__set__
 _set_measurement_id = Observation.measurement_id.__set__
+
+
+def _observation(
+    url: str,
+    anomaly: Anomaly,
+    detected: bool,
+    as_path: Tuple[int, ...],
+    timestamp: int,
+    measurement_id: int,
+) -> Observation:
+    """An :class:`Observation` built by filling its slots directly.
+
+    The one bulk construction path: conversion, the wire decoder and
+    unpickling all build through it.  The frozen dataclass ``__init__``
+    stores each field through ``object.__setattr__``, about twice as
+    slow per observation.  The non-empty path check of ``__post_init__``
+    is kept.
+    """
+    if not as_path:
+        raise ValueError("observation requires a non-empty AS path")
+    observation = _new_observation(Observation)
+    _set_url(observation, url)
+    _set_anomaly(observation, anomaly)
+    _set_detected(observation, detected)
+    _set_as_path(observation, as_path)
+    _set_timestamp(observation, timestamp)
+    _set_measurement_id(observation, measurement_id)
+    return observation
 
 
 @dataclass
@@ -147,21 +173,17 @@ def observations_of(
     as_path = conversion.as_path
     timestamp = measurement.timestamp
     measurement_id = measurement.measurement_id
-    # Observations are the dominant allocation (one per anomaly per
-    # converted measurement); fill their slots directly.  The skipped
-    # __post_init__ only checks path non-emptiness, which conversion
-    # already guarantees.
-    out: List[Observation] = []
-    for anomaly in anomalies:
-        observation = _new_observation(Observation)
-        _set_url(observation, url)
-        _set_anomaly(observation, anomaly)
-        _set_detected(observation, detected_by_anomaly[anomaly])
-        _set_as_path(observation, as_path)
-        _set_timestamp(observation, timestamp)
-        _set_measurement_id(observation, measurement_id)
-        out.append(observation)
-    return out
+    return [
+        _observation(
+            url,
+            anomaly,
+            detected_by_anomaly[anomaly],
+            as_path,
+            timestamp,
+            measurement_id,
+        )
+        for anomaly in anomalies
+    ]
 
 
 def build_observations(

@@ -3,11 +3,11 @@
 The batch pipeline answers "which ASes censored?" after a full campaign;
 this subsystem answers it *while the campaign runs*.  A
 :class:`StreamingLocalizer` ingests measurements one at a time (from the
-platform's drip-feed hook, a dataset replay, or a stored-job replay),
-keeps every open (URL, anomaly, window) tomography problem's clause
-ledger and unit-propagation closure up to date incrementally, and emits
-verdict-delta events — candidate set shrank, censor identified, window
-closed — to subscriber callbacks.  Draining the stream reproduces the
+platform's drip-feed hook or a dataset replay), keeps every open (URL,
+anomaly, window) tomography problem's clause ledger and unit-propagation
+closure up to date incrementally, and emits verdict-delta events —
+candidate set shrank, censor identified, window closed — to subscriber
+callbacks.  Draining the stream reproduces the
 batch :class:`~repro.core.pipeline.PipelineResult` byte for byte.
 
 Quickstart::
@@ -28,13 +28,7 @@ from repro.stream.engine import (
     StreamingLocalizer,
 )
 from repro.stream.events import Subscriber, VerdictEvent, VerdictKind
-from repro.stream.sources import (
-    ReplayOutcome,
-    engine_for_world,
-    replay_dataset,
-    replay_stored_job,
-    stream_campaign,
-)
+from repro.stream.sources import replay_dataset, stream_campaign
 from repro.stream.state import ProblemState, StreamStats
 
 __all__ = [
@@ -46,9 +40,6 @@ __all__ = [
     "Subscriber",
     "ProblemState",
     "StreamStats",
-    "engine_for_world",
     "stream_campaign",
     "replay_dataset",
-    "replay_stored_job",
-    "ReplayOutcome",
 ]

@@ -1,58 +1,27 @@
 """Event sources feeding the streaming engine.
 
-Three ways to drive a :class:`~repro.stream.engine.StreamingLocalizer`:
+Two ways to drive a :class:`~repro.stream.engine.StreamingLocalizer`:
 
 - :func:`stream_campaign` — the live drip feed: subscribes to the
   platform's measurement hook and runs the campaign, so the engine sees
   every measurement the moment ``ICLabPlatform.run_test`` produces it;
 - :func:`replay_dataset` — replays a stored/previously collected dataset
-  in its recorded order;
-- :func:`replay_stored_job` — rebuilds a sweep job's world from its spec
-  in a :class:`~repro.runner.store.ResultStore` record and drip-streams
-  its campaign; when the store also holds the job's result sidecar, the
-  drained stream result is verified against the stored batch statuses.
+  in its recorded order.
 
-All three deliver measurements in the same order the batch pipeline
+Both deliver measurements in the same order the batch pipeline
 consumes them, which is what makes ``drain()`` byte-identical to
 ``LocalizationPipeline.run``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 from repro.core.observations import build_observations, first_path_only
-from repro.core.pipeline import PipelineConfig, PipelineResult
+from repro.core.pipeline import PipelineResult
 from repro.iclab.dataset import Dataset
-from repro.runner.spec import JobSpec
-from repro.runner.store import ResultStore
-from repro.scenario.world import World, build_world
+from repro.scenario.world import World
 from repro.stream.engine import StreamingLocalizer
-from repro.util.deprecation import warn_once
-
-
-def engine_for_world(
-    world: World, config: Optional[PipelineConfig] = None, **kwargs
-) -> StreamingLocalizer:
-    """A streaming engine bound to a world's IP-to-AS data and countries.
-
-    .. deprecated::
-        Superseded by :class:`repro.api.LocalizationSession` — bind a
-        session to the world (``LocalizationSession.for_world(world)``)
-        and use its streaming surface instead of a raw engine.
-    """
-    warn_once(
-        "stream.sources.engine_for_world",
-        "engine_for_world() is deprecated; use "
-        "repro.api.LocalizationSession.for_world(world) instead",
-    )
-    return StreamingLocalizer(
-        ip2as=world.ip2as,
-        country_by_asn=world.country_by_asn,
-        config=config if config is not None else PipelineConfig(),
-        **kwargs,
-    )
 
 
 def stream_campaign(
@@ -100,97 +69,6 @@ def replay_dataset(
     engine.merge_discard_stats(stats)
     for observation in first_path_only(observations):
         engine.ingest_observation(observation)
-
-
-@dataclass
-class ReplayOutcome:
-    """What a stored-job replay produced and how it compared."""
-
-    job: JobSpec
-    world: World
-    engine: StreamingLocalizer
-    result: PipelineResult
-    verified: Optional[bool] = None     # None: no stored result to compare
-    mismatches: Tuple[str, ...] = ()
-
-
-def replay_stored_job(
-    store: ResultStore,
-    job: JobSpec,
-    engine: Optional[StreamingLocalizer] = None,
-    world: Optional[World] = None,
-    progress_every: int = 0,
-) -> ReplayOutcome:
-    """Rebuild one stored job's scenario and stream its campaign.
-
-    The job's world and campaign are reconstructed deterministically from
-    the spec (datasets are pure functions of their scenario seed, which is
-    why records don't embed them).  When the store holds the job's result
-    sidecar, the drained stream result is checked against the stored
-    per-problem statuses and identified censors — the replay doubles as an
-    online/batch consistency audit of the stored record.
-
-    With-churn jobs drip-stream the campaign live; without-churn jobs run
-    the campaign first and replay the ablation-filtered observations (see
-    :func:`replay_dataset`), matching the batch Figure-4 semantics.
-
-    Callers that already built the job's world (e.g. to pre-subscribe an
-    engine) pass it via ``world`` to avoid a second topology build.
-
-    .. deprecated::
-        Superseded by
-        :meth:`repro.api.LocalizationSession.replay_stored`, which this
-        shim delegates to unless a pre-built ``engine`` forces the legacy
-        path.
-    """
-    warn_once(
-        "stream.sources.replay_stored_job",
-        "replay_stored_job() is deprecated; use "
-        "repro.api.LocalizationSession.replay_stored(store) instead",
-    )
-    if engine is None:
-        # Deferred import: repro.api.session imports this module's
-        # compare_with_stored.
-        from repro.api.config import SessionConfig
-        from repro.api.session import LocalizationSession
-
-        session = LocalizationSession(
-            SessionConfig.from_job(job), world=world
-        )
-        outcome = session.replay_stored(
-            store, job, progress_every=progress_every
-        )
-        backend = session.backend  # inline: the engine is inspectable
-        return ReplayOutcome(
-            job=job,
-            world=outcome.world,
-            engine=getattr(backend, "engine", None),
-            result=outcome.result,
-            verified=outcome.verified,
-            mismatches=tuple(outcome.mismatches),
-        )
-    if world is None:
-        world = build_world(job.scenario_config())
-    if job.without_churn:
-        dataset = world.run_campaign(progress_every=progress_every)
-        replay_dataset(dataset, engine, without_churn=True)
-    else:
-        stream_campaign(world, engine, progress_every=progress_every)
-    result = engine.drain()
-    stored = store.get_result(job.job_id)
-    if stored is None:
-        return ReplayOutcome(
-            job=job, world=world, engine=engine, result=result
-        )
-    mismatches = compare_with_stored(result, stored)
-    return ReplayOutcome(
-        job=job,
-        world=world,
-        engine=engine,
-        result=result,
-        verified=not mismatches,
-        mismatches=tuple(mismatches),
-    )
 
 
 def compare_with_stored(
@@ -250,10 +128,7 @@ def _key_id(payload: Dict[str, Any]) -> Tuple[str, str, str, int]:
 
 
 __all__ = [
-    "engine_for_world",
     "stream_campaign",
     "replay_dataset",
-    "replay_stored_job",
-    "ReplayOutcome",
     "compare_with_stored",
 ]

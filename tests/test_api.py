@@ -698,95 +698,67 @@ class TestSessionWorkflows:
 
 
 class TestDeprecationShims:
-    """Old entry points warn exactly once per process and delegate."""
+    """``warn_once`` warns exactly once per process, at the shim's caller."""
 
-    def test_engine_for_world_warns_once(self, tiny_world):
-        from repro.stream.sources import engine_for_world
-
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = engine_for_world(tiny_world)
-            second = engine_for_world(tiny_world)
-        assert isinstance(first, StreamingLocalizer)
-        assert isinstance(second, StreamingLocalizer)
-        deprecations = [
-            entry
-            for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert "LocalizationSession" in str(deprecations[0].message)
-
-    def test_replay_stored_job_warns_once_and_delegates(self, tmp_path):
-        from repro.stream.sources import replay_stored_job
-
-        job = JobSpec(
-            preset="tiny", seed=9, duration_days=3, num_urls=3,
-            num_vantage_points=4,
-        )
-        store = ResultStore(tmp_path)
-        store.put(run_job(job).record)
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            outcome = replay_stored_job(store, job)
-            replay_stored_job(store, job)
-        assert outcome.verified is True
-        assert outcome.engine is not None  # legacy surface still served
-        deprecations = [
-            entry
-            for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-
-    def test_warnings_point_at_the_shims_caller(self, tiny_world, tmp_path):
-        """The DeprecationWarning must name the *migration site* — this
-        file — for every shim, whatever the shim's internal call depth."""
-        from repro.stream.sources import engine_for_world, replay_stored_job
-
-        reset_warned()
-        with pytest.warns(DeprecationWarning) as record:
-            engine_for_world(tiny_world)
-        assert record[0].filename == __file__
-
-        job = JobSpec(
-            preset="tiny", seed=9, duration_days=3, num_urls=3,
-            num_vantage_points=4,
-        )
-        store = ResultStore(tmp_path)
-        store.put(run_job(job).record)
-        reset_warned()
-        with pytest.warns(DeprecationWarning) as record:
-            replay_stored_job(store, job)
-        assert record[0].filename == __file__
-
-    def test_warning_attribution_survives_nested_shims(self, tmp_path):
-        """A shim that warns from a nested helper (a deeper call depth
-        than the direct shims) still attributes to its external caller —
-        the case a hardcoded stacklevel cannot cover."""
+    @pytest.fixture
+    def shim_module(self, tmp_path):
+        """Import a source string as a module from its own file, the way
+        a deprecated entry point lives apart from its callers."""
         import importlib.util
         import sys as sys_module
 
-        shim_path = tmp_path / "legacy_shim_module.py"
-        shim_path.write_text(
+        loaded = []
+
+        def load(name, source):
+            path = tmp_path / f"{name}.py"
+            path.write_text(source)
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            sys_module.modules[name] = module
+            loaded.append(name)
+            spec.loader.exec_module(module)
+            return module
+
+        yield load
+        for name in loaded:
+            del sys_module.modules[name]
+
+    def test_warnings_point_at_the_shims_caller(self, shim_module):
+        """The DeprecationWarning must name the *migration site* — this
+        file — and fire only on the first call."""
+        module = shim_module(
+            "direct_shim_module",
+            "from repro.util.deprecation import warn_once\n"
+            "def deprecated_entry():\n"
+            "    warn_once('test.direct-shim', 'direct shim is deprecated')\n"
+            "    return 'delegated'\n",
+        )
+        reset_warned()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert module.deprecated_entry() == "delegated"
+            assert module.deprecated_entry() == "delegated"
+        deprecations = [
+            entry
+            for entry in caught
+            if issubclass(entry.category, DeprecationWarning)
+        ]
+        assert len(deprecations) == 1
+        assert deprecations[0].filename == __file__
+
+    def test_warning_attribution_survives_nested_shims(self, shim_module):
+        """A shim that warns from a nested helper (a deeper call depth
+        than the direct shims) still attributes to its external caller —
+        the case a hardcoded stacklevel cannot cover."""
+        module = shim_module(
+            "legacy_shim_module",
             "from repro.util.deprecation import warn_once\n"
             "def _helper():\n"
             "    warn_once('test.nested-shim', 'nested shim is deprecated')\n"
             "def deprecated_entry():\n"
-            "    _helper()\n"
+            "    _helper()\n",
         )
-        spec = importlib.util.spec_from_file_location(
-            "legacy_shim_module", shim_path
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys_module.modules["legacy_shim_module"] = module
-        try:
-            spec.loader.exec_module(module)
-            reset_warned()
-            with pytest.warns(DeprecationWarning) as record:
-                module.deprecated_entry()
-            assert record[0].filename == __file__
-        finally:
-            del sys_module.modules["legacy_shim_module"]
+        reset_warned()
+        with pytest.warns(DeprecationWarning) as record:
+            module.deprecated_entry()
+        assert record[0].filename == __file__

@@ -92,6 +92,17 @@ class TestByteIdentity:
         sequences = [event.sequence for event in events]
         assert sequences == sorted(set(sequences))
 
+    def test_served_drain_carries_observation_groups(
+        self, solo_outcome, tiny_batch
+    ):
+        """The drained result crosses the wire with every observation
+        group that forced its verdicts, not only the verdicts."""
+        result, _, _ = solo_outcome
+        assert result.observations_by_key
+        assert result.to_dict(
+            include_observations=True
+        ) == tiny_batch.to_dict(include_observations=True)
+
     def test_concurrent_tenants_isolated(
         self, daemon, tiny_world, tiny_dataset, tiny_batch
     ):

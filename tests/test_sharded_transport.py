@@ -17,8 +17,10 @@ Three layers under test:
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -40,7 +42,11 @@ from repro.api.transport import (
     TransportError,
     parse_address,
 )
-from repro.core.observations import Observation, build_observations
+from repro.core.observations import (
+    Observation,
+    _observation,
+    build_observations,
+)
 from repro.core.pipeline import PipelineConfig
 from repro.stream.engine import StreamingLocalizer
 from repro.stream.events import VerdictKind
@@ -114,6 +120,38 @@ class TestWireCodec:
         )
         message = ("obs", chunk)
         assert wire.decode(wire.encode(message)) == message
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+    def test_codec_leaves_gc_as_found(self, enabled, tiny_observations):
+        """encode/decode pause the collector and restore its prior state,
+        never turning it on for a caller that had it off — also when
+        decoding raises."""
+        message = ("result", tuple(tiny_observations[:10]))
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert wire.decode(wire.encode(message)) == message
+            assert gc.isenabled() is enabled
+            with pytest.raises(pickle.UnpicklingError):
+                wire.decode(b"garbage")
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_empty_path_refused_on_every_construction_path(self):
+        class HandBuilt:
+            def __reduce__(self):
+                return (
+                    _observation,
+                    ("u", Anomaly.DNS, True, (), 0, 1),
+                )
+
+        with pytest.raises(ValueError):
+            pickle.loads(pickle.dumps(HandBuilt()))
+        with pytest.raises(ValueError):
+            wire.observation_from_wire(
+                ("u", Anomaly.DNS.value, True, (), 0, 1)
+            )
 
     def test_hello_handshake(self):
         config = SessionConfig(preset="tiny").to_dict()
