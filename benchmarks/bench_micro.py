@@ -125,8 +125,8 @@ def test_micro_stream_ingest(benchmark, bench_world, bench_dataset,
 
     Drains a slice of the paper-shaped campaign through the online engine
     with a (no-op) subscriber attached, so every ingested observation pays
-    the full incremental-verdict path: ledger append, resumable unit
-    propagation, snapshot, and delta detection.  ``extra_info`` records
+    the full incremental-verdict path: ledger append, closure update,
+    snapshot classification, and delta detection.  ``extra_info`` records
     events/sec and mean per-observation latency — the headline numbers of
     the streaming subsystem's perf trajectory.
     """

@@ -72,8 +72,8 @@ def main() -> None:
     print(
         f"\ndrained {stats.measurements} measurements into "
         f"{len(result.solutions)} problems "
-        f"({stats.propagation_decided} verdicts by incremental propagation, "
-        f"{stats.fallback_solves} full solves)"
+        f"({stats.propagation_decided} verdicts decided by propagation, "
+        f"{stats.fallback_solves} closed by the hitting-set count)"
     )
 
     batch = world.pipeline().run(dataset)

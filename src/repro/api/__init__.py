@@ -17,7 +17,7 @@ dataset or stored-job replay, or a whole sweep grid — through a pluggable
 Every backend drains byte-identical to ``LocalizationPipeline.run``
 (pinned on the tiny and small presets in ``tests/test_api.py``), and
 every session can :meth:`~LocalizationSession.checkpoint` its engine
-state — ledgers, propagation closures, watermark — to a file from which
+state — per-problem observations, watermark — to a file from which
 :meth:`LocalizationSession.restore` resumes mid-campaign, under the same
 backend or a different one.
 

@@ -20,9 +20,10 @@ as :meth:`TomographyProblem.solve_reference` and pinned by tests):
   set of censored and clean paths, not on its (URL, anomaly, window) key.
   :class:`ProblemSolveCache` memoizes solutions by a canonical content
   signature, so each structurally unique CNF is solved once per batch.
-- **Set-based propagation fast path.**  Because all non-unit clauses are
-  purely positive, the unit-propagation closure reduces to set algebra —
-  no CNF, clause objects, or CDCL solver are ever constructed.
+- **Set-based propagation.**  Because all non-unit clauses are purely
+  positive, the unit-propagation closure reduces to set algebra
+  (:class:`Closure`) — no CNF, clause objects, or CDCL solver are ever
+  constructed.  The stream grows the same closure one path at a time.
 - **Closed-form residuals.**  A clause propagation leaves undecided is
   all-positive with at least two live, unforced ASes, so all-True (and
   all-True-except-any-one-AS) satisfies the residual: the problem is
@@ -125,19 +126,15 @@ class SolveStats:
 class ProblemSolveCache:
     """Shared state for solving a batch of problems.
 
-    Holds the signature → solution memo plus reusable scratch sets for the
-    propagation fast path, so per-problem work allocates as little as
-    possible.  One cache instance serves one pipeline run; it must not be
-    shared across runs with different observation semantics (the cache key
+    Holds the signature → solution memo and the batch's solve counters.
+    One cache instance serves one pipeline run; it must not be shared
+    across runs with different observation semantics (the cache key
     includes the solution cap, so differing caps are safe).
     """
 
     def __init__(self) -> None:
         self._solutions: Dict[ProblemSignature, ProblemSolution] = {}
         self.stats = SolveStats()
-        # Scratch reused across problems: cleared, never reallocated.
-        self._scratch_false: Set[int] = set()
-        self._scratch_true: Set[int] = set()
 
     def lookup(self, signature: ProblemSignature) -> Optional[ProblemSolution]:
         return self._solutions.get(signature)
@@ -146,12 +143,6 @@ class ProblemSolveCache:
         self, signature: ProblemSignature, solution: ProblemSolution
     ) -> None:
         self._solutions[signature] = solution
-
-    def borrow_scratch(self) -> Tuple[Set[int], Set[int]]:
-        """Two cleared scratch sets (false-forced, true-forced)."""
-        self._scratch_false.clear()
-        self._scratch_true.clear()
-        return self._scratch_false, self._scratch_true
 
 
 class TomographyProblem:
@@ -177,7 +168,6 @@ class TomographyProblem:
         # group lists and never mutates them) — skip the defensive copy.
         self.observations = list(observations) if validate else observations
         self.solution_cap = solution_cap
-        self._builder: Optional[CNFBuilder] = None
         self._ledger: Optional[PathLedger] = None
 
     # -- structure ----------------------------------------------------------
@@ -196,20 +186,6 @@ class TomographyProblem:
             self._ledger = ledger
         return self._ledger
 
-    def unique_paths(self) -> Tuple[List[Tuple[int, ...]], List[Tuple[int, ...]]]:
-        """(censored paths, clean paths), deduplicated in first-seen order.
-
-        Repeated identical measurements add no information; this is the
-        same deduplication :meth:`build_cnf` applies, shared so the fast
-        path and the CNF construction agree exactly.
-        """
-        ledger = self.ledger()
-        return (ledger.positive, ledger.negative)
-
-    def signature(self) -> ProblemSignature:
-        """Canonical content signature for structural deduplication."""
-        return self.ledger().signature(self.solution_cap)
-
     # -- CNF construction ---------------------------------------------------
 
     def build_cnf(self) -> Tuple[CNF, CNFBuilder]:
@@ -217,7 +193,6 @@ class TomographyProblem:
         ledger = self.ledger()
         cnf, builder = ledger.build_cnf()
         self._positive_count = ledger.positive_clause_count
-        self._builder = builder
         return cnf, builder
 
     # -- solving ---------------------------------------------------------------
@@ -370,10 +345,9 @@ def solve_ledger(
     """Solve one problem's :class:`PathLedger` and classify per §3.2.
 
     The single optimized solve shared by batch (`TomographyProblem.solve`)
-    and stream (`repro.stream`): memoized by content signature when a
-    :class:`ProblemSolveCache` is supplied, decided by the set-based
-    propagation fast path, with any residual closed by a capped
-    hitting-set count.
+    and the stream's window close (`repro.stream`): memoized by content
+    signature when a :class:`ProblemSolveCache` is supplied, otherwise the
+    ledger's :class:`Closure` put through :func:`classify`.
     """
     if cache is None:
         return _solve_ledger_fast(key, ledger, solution_cap, None)
@@ -408,63 +382,142 @@ def _solve_ledger_fast(
     solution_cap: int,
     cache: Optional[ProblemSolveCache],
 ) -> ProblemSolution:
-    positive_paths = ledger.positive
-    negative_paths = ledger.negative
-    # Every observation's path is one of the unique paths, so the
-    # observed-AS set is their union — no need to rescan the raw
-    # observation list.
-    observed: FrozenSet[int] = ledger.observed_ases()
+    # Clean paths first: the censored ones then reduce against the final
+    # exonerated set once, and the residual is never re-shrunk.  Before
+    # any censored path a clean one can neither conflict nor shrink a
+    # clause, so ``add`` would only grow ``forced_false``; growing it
+    # directly keeps the per-path call out of the batch's hottest loop.
+    closure = Closure()
+    forced_false = closure.forced_false
+    for path in ledger.negative:
+        forced_false.update(path)
+    for path in ledger.positive:
+        closure.add(path, True)
+    if cache is not None:
+        if closure.residual:
+            cache.stats.cdcl_solves += 1
+        else:
+            cache.stats.propagation_decided += 1
+    return classify(key, ledger, solution_cap, closure)
+
+
+class Closure:
+    """The unit-propagation closure of one problem, by set algebra.
+
+    Every multi-literal clause of a tomography CNF is purely positive, so
+    the closure is two sets and a clause list: ``forced_false`` (ASes on
+    some clean path), ``forced_true`` (the last live AS of some censored
+    path) and ``residual`` (censored paths reduced to their >= 2 live,
+    unforced ASes).  ``conflict`` marks a censored path whose every AS is
+    exonerated; it is final, and empties the residual.
+
+    :meth:`add` grows the closure one path at a time.  The result is the
+    least fixpoint over the paths added, whatever their order, so a batch
+    problem and a stream prefix over the same paths close alike.
+    """
+
+    __slots__ = ("forced_false", "forced_true", "residual", "conflict")
+
+    def __init__(self) -> None:
+        self.forced_false: Set[int] = set()
+        self.forced_true: Set[int] = set()
+        self.residual: List[Tuple[int, ...]] = []
+        self.conflict = False
+
+    def add(self, path: Tuple[int, ...], detected: bool) -> None:
+        """Close over one censored (``detected``) or clean path."""
+        if self.conflict:
+            return
+        forced_false = self.forced_false
+        forced_true = self.forced_true
+        if detected:
+            alive = tuple(
+                dict.fromkeys(a for a in path if a not in forced_false)
+            )
+            if not alive:
+                # Every AS exonerated: noise, or a policy change.
+                self._fail()
+            elif len(alive) == 1:
+                self._force_true(alive)
+            elif forced_true.isdisjoint(alive):
+                self.residual.append(alive)
+            return
+        if not forced_true.isdisjoint(path):
+            self._fail()
+            return
+        if forced_false.issuperset(path):
+            return
+        forced_false.update(path)
+        if not self.residual:
+            return
+        # Exonerating only falsifies, and forcing True only satisfies, so
+        # one reduction pass plus one satisfaction pass is the fixpoint.
+        reduced: List[Tuple[int, ...]] = []
+        units: List[int] = []
+        for clause in self.residual:
+            alive = tuple(a for a in clause if a not in forced_false)
+            if not alive:
+                self._fail()
+                return
+            if len(alive) == 1:
+                units.append(alive[0])
+            else:
+                reduced.append(alive)
+        self.residual = reduced
+        if units:
+            self._force_true(units)
+
+    def _force_true(self, asns: Sequence[int]) -> None:
+        forced_true = self.forced_true
+        if forced_true.issuperset(asns):
+            return
+        forced_true.update(asns)
+        if self.residual:
+            self.residual = [
+                clause
+                for clause in self.residual
+                if forced_true.isdisjoint(clause)
+            ]
+
+    def _fail(self) -> None:
+        self.conflict = True
+        self.residual = []
+
+
+def classify(
+    key: ProblemKey,
+    ledger: PathLedger,
+    solution_cap: int,
+    closure: Closure,
+) -> ProblemSolution:
+    """The paper's UNSAT / UNIQUE / MULTIPLE verdict from a closure (§3.2).
+
+    ``closure`` must hold exactly the ledger's paths.  Without a residual
+    the verdict is the closure's: unforced ASes (only ever in satisfied
+    clauses) make it non-unique.  A residual clause is all-positive with
+    >= 2 live ASes none of which is forced, so all-True is a model, and
+    so is all-True-except-v for any residual AS v: the status is
+    MULTIPLE, the always-True ASes are exactly the forced-True ones and
+    the always-False ASes exactly the exonerated ones.  Only the capped
+    model count needs a search.
+    """
+    observed = ledger.observed_ases()
     clause_count = ledger.clause_count
     positive_count = ledger.positive_clause_count
-
-    if cache is not None:
-        forced_false, forced_true = cache.borrow_scratch()
-    else:
-        forced_false, forced_true = set(), set()
-    for path in negative_paths:
-        forced_false.update(path)
-
-    # Unit-propagation closure by set algebra.  All multi-literal
-    # clauses are purely positive, so falsification only ever comes
-    # from the negative units, and a forced-True AS can only *satisfy*
-    # other clauses — one reduction pass plus one satisfaction pass is
-    # the fixpoint.
-    undecided: List[Tuple[int, ...]] = []
-    for path in positive_paths:
-        alive = tuple(
-            dict.fromkeys(a for a in path if a not in forced_false)
+    if closure.conflict:
+        return ProblemSolution(
+            key=key,
+            status=SolutionStatus.UNSATISFIABLE,
+            num_solutions=0,
+            capped=False,
+            observed_ases=observed,
+            clause_count=clause_count,
+            positive_clause_count=positive_count,
         )
-        if not alive:
-            # A censored path whose every AS is exonerated: UNSAT
-            # (noise, or a policy change mid-window).
-            if cache is not None:
-                cache.stats.propagation_decided += 1
-            return ProblemSolution(
-                key=key,
-                status=SolutionStatus.UNSATISFIABLE,
-                num_solutions=0,
-                capped=False,
-                observed_ases=observed,
-                clause_count=clause_count,
-                positive_clause_count=positive_count,
-            )
-        if len(alive) == 1:
-            forced_true.add(alive[0])
-        else:
-            undecided.append(alive)
-    residual = [
-        clause
-        for clause in undecided
-        if not any(asn in forced_true for asn in clause)
-    ]
-
-    names: Set[int] = set(forced_false)
-    for path in positive_paths:
-        names.update(path)
-    if not residual:
-        if cache is not None:
-            cache.stats.propagation_decided += 1
-        free_count = len(names) - len(forced_false) - len(forced_true)
+    forced_false = closure.forced_false
+    forced_true = closure.forced_true
+    free_count = len(observed) - len(forced_false) - len(forced_true)
+    if not closure.residual:
         if not free_count:
             return ProblemSolution(
                 key=key,
@@ -477,33 +530,18 @@ def _solve_ledger_fast(
                 clause_count=clause_count,
                 positive_clause_count=positive_count,
             )
-        # Unconstrained variables (only ever in satisfied clauses)
-        # make the solution non-unique.
-        count = min(solution_cap, 2 ** free_count)
-        capped = 2 ** free_count > solution_cap
         return ProblemSolution(
             key=key,
             status=SolutionStatus.MULTIPLE,
-            num_solutions=count,
-            capped=capped,
+            num_solutions=min(solution_cap, 2 ** free_count),
+            capped=2 ** free_count > solution_cap,
             observed_ases=observed,
-            potential_censors=frozenset(names - forced_false),
+            potential_censors=observed - forced_false,
             eliminated=frozenset(forced_false),
             clause_count=clause_count,
             positive_clause_count=positive_count,
         )
-
-    # Residual clauses are all-positive, each with >= 2 live ASes none of
-    # which is forced.  All-True is a model, and so is all-True-except-v
-    # for any residual AS v: the status is MULTIPLE, the always-True ASes
-    # are exactly the forced-True ones and the always-False ASes exactly
-    # the exonerated ones.  Only the capped model count needs a search.
-    if cache is not None:
-        cache.stats.cdcl_solves += 1
-    total = _count_hitting_sets(
-        residual, len(names) - len(forced_false) - len(forced_true),
-        solution_cap,
-    )
+    total = _count_hitting_sets(closure.residual, free_count, solution_cap)
     return ProblemSolution(
         key=key,
         status=SolutionStatus.MULTIPLE,
@@ -513,7 +551,7 @@ def _solve_ledger_fast(
         capped=total >= solution_cap,
         observed_ases=observed,
         censors=frozenset(forced_true),
-        potential_censors=frozenset(names - forced_false),
+        potential_censors=observed - forced_false,
         eliminated=frozenset(forced_false),
         clause_count=clause_count,
         positive_clause_count=positive_count,
@@ -527,10 +565,12 @@ def _count_hitting_sets(
     all-positive clause True, counted exactly below ``cap``.
 
     ``clauses`` must be non-empty and mention no other AS; an AS they do
-    not mention doubles the count.  Branches on one AS: True drops the clauses it hits, False deletes it from them
-    (an emptied clause kills the branch).  Every surviving branch has a
-    model (the rest all True), so the search stops after about
-    ``cap * num_vars`` nodes.  The result may overshoot ``cap`` but is
+    not mention doubles the count.
+
+    Branches on one AS: True drops the clauses it hits, False deletes it
+    from them (an emptied clause kills the branch).  Every surviving
+    branch has a model (the rest all True), so the search stops after
+    about ``cap * num_vars`` nodes.  The result may overshoot ``cap`` but is
     then still ``>= cap``.
     """
     pivot = clauses[0][0]
@@ -574,6 +614,8 @@ __all__ = [
     "ProblemSolveCache",
     "SolveStats",
     "TomographyProblem",
+    "Closure",
+    "classify",
     "ProblemKey",
     "ProblemSignature",
     "solve_ledger",

@@ -53,9 +53,9 @@ METRIC_CATALOG: Dict[str, Tuple[str, str]] = {
         "gauge", "Ledger clauses that added information"),
     "repro_stream_snapshots": ("gauge", "Verdict recomputations"),
     "repro_stream_propagation_decided": (
-        "gauge", "Verdicts closed by incremental propagation"),
+        "gauge", "Verdict snapshots decided by propagation alone"),
     "repro_stream_fallback_solves": (
-        "gauge", "Verdicts needing the full solve path"),
+        "gauge", "Verdict snapshots closed by the hitting-set count"),
     "repro_stream_events_emitted": ("gauge", "Verdict events emitted"),
     "repro_stream_open_problems": ("gauge", "Problem windows still open"),
     "repro_stream_closed_problems": ("gauge", "Problem windows closed"),

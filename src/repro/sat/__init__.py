@@ -6,8 +6,9 @@ uses "False in every returned solution" to eliminate definite non-censors.
 No third-party solver is available offline, so this package provides one.
 Its solver, enumeration and backbone serve the paper-faithful reference
 oracle (:meth:`repro.core.problem.TomographyProblem.solve_reference`), which
-the optimized solve is tested against; the production path uses only the
-propagation closures.  The package holds:
+the optimized solve is tested against; the production path computes the
+same propagation fixpoint by set algebra (:class:`repro.core.problem.Closure`)
+and builds no CNF.  The package holds:
 
 - :class:`~repro.sat.cnf.CNF` / :class:`~repro.sat.cnf.Clause` — DIMACS-style
   formula representation with named variables,
@@ -18,8 +19,8 @@ propagation closures.  The package holds:
   clauses, with a configurable cap,
 - :func:`~repro.sat.backbone.backbone` — literals fixed in *every* model,
   which is exactly the paper's non-censor elimination rule,
-- :mod:`~repro.sat.simplify` — unit propagation closure, pure-literal and
-  subsumption simplification used to pre-shrink tomography CNFs.
+- :func:`~repro.sat.simplify.propagate_units` — the unit propagation
+  closure that decides most tomography CNFs without search.
 
 Literals use the DIMACS convention: variables are positive integers and a
 negative integer denotes negation.
@@ -28,7 +29,7 @@ negative integer denotes negation.
 from repro.sat.backbone import BackboneResult, backbone
 from repro.sat.cnf import CNF, Clause, CNFBuilder
 from repro.sat.enumerate import EnumerationResult, count_models, enumerate_models
-from repro.sat.simplify import propagate_units, pure_literals, subsumed_clauses
+from repro.sat.simplify import propagate_units
 from repro.sat.solver import Assignment, SolveResult, Solver
 
 __all__ = [
@@ -44,6 +45,4 @@ __all__ = [
     "backbone",
     "BackboneResult",
     "propagate_units",
-    "pure_literals",
-    "subsumed_clauses",
 ]

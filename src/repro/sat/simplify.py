@@ -1,17 +1,19 @@
-"""CNF simplification: unit propagation closure, pure literals, subsumption.
+"""CNF simplification: the unit propagation closure.
 
 The tomography CNFs have a characteristic shape — many negative unit clauses
 (from censorship-free measurements) plus a few positive clauses (from
 censored measurements).  Unit-propagating the negatives usually collapses
 the positives to units or empties, so most instances are decided here
-without search.  The functions are pure: they return new structures and
-leave their inputs untouched.
+without search.  :func:`propagate_units` is the literal-level closure of
+the reference oracle; the production solve computes the same fixpoint by
+set algebra (:class:`repro.core.problem.Closure`).  It is pure: it
+returns new structures and leaves its input untouched.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from repro.sat.cnf import CNF, Clause
 
@@ -107,172 +109,4 @@ def propagate_units(cnf: CNF) -> PropagationResult:
     )
 
 
-class IncrementalPropagation:
-    """Resumable unit-propagation state: clauses may arrive at any time.
-
-    The streaming engine (:mod:`repro.stream`) appends clauses as
-    measurements come in; because clauses only ever *accumulate*, the
-    propagation closure is monotone — forced assignments never retract and
-    a conflict, once reached, is final.  The closure is the same least
-    fixpoint :func:`propagate_units` computes over a complete CNF (unit
-    propagation is confluent), so resuming is exact, not approximate.
-
-    ``forced`` maps each decided variable to its value, ``residual`` holds
-    the not-yet-satisfied clauses with falsified literals removed, and
-    ``conflict`` marks unsatisfiability.  Assignments reduce the whole
-    residual per forced literal (no watchlists); the tomography CNFs keep
-    the residual to a handful of positive clauses, where a rescan is
-    cheaper than watcher bookkeeping.
-
-    >>> state = IncrementalPropagation()
-    >>> changed = state.add_clause([1, 2, 3])
-    >>> changed = state.add_clause([-1]) and state.add_clause([-3])
-    >>> state.conflict, state.forced
-    (False, {1: False, 3: False, 2: True})
-    """
-
-    __slots__ = ("forced", "conflict", "_clauses")
-
-    def __init__(self) -> None:
-        self.forced: Dict[int, bool] = {}
-        self.conflict: bool = False
-        self._clauses: List[Tuple[int, ...]] = []
-
-    @property
-    def residual(self) -> List[Tuple[int, ...]]:
-        """Unsatisfied clauses under the current closure, reduced."""
-        return list(self._clauses)
-
-    @property
-    def decided(self) -> bool:
-        """True when the closure fully decided the formula so far."""
-        return self.conflict or not self._clauses
-
-    def value_of(self, variable: int) -> Optional[bool]:
-        """The forced value of ``variable``, or None while free."""
-        return self.forced.get(variable)
-
-    def add_clause(self, literals: Iterable[int]) -> bool:
-        """Append one clause and re-close; True when the state changed.
-
-        A clause already satisfied by the closure is a no-op.  After a
-        conflict the state is frozen (every later clause is vacuous in an
-        unsatisfiable formula).
-        """
-        if self.conflict:
-            return False
-        alive: List[int] = []
-        seen: Set[int] = set()
-        for lit in literals:
-            if lit == 0:
-                raise ValueError("0 is not a valid literal")
-            if lit in seen:
-                continue
-            if -lit in seen:
-                return False  # tautology
-            seen.add(lit)
-            value = self.forced.get(abs(lit))
-            if value is None:
-                alive.append(lit)
-            elif value == (lit > 0):
-                return False  # already satisfied
-        if not alive:
-            self.conflict = True
-            return True
-        if len(alive) == 1:
-            self._propagate([alive[0]])
-            return True
-        self._clauses.append(tuple(alive))
-        return True
-
-    def _propagate(self, queue: List[int]) -> None:
-        """Drain newly forced literals to the fixpoint."""
-        while queue:
-            lit = queue.pop()
-            var, value = abs(lit), lit > 0
-            prior = self.forced.get(var)
-            if prior is not None:
-                if prior != value:
-                    self.conflict = True
-                    return
-                continue
-            self.forced[var] = value
-            remaining: List[Tuple[int, ...]] = []
-            for lits in self._clauses:
-                satisfied = False
-                alive: List[int] = []
-                for other in lits:
-                    known = self.forced.get(abs(other))
-                    if known is None:
-                        alive.append(other)
-                    elif known == (other > 0):
-                        satisfied = True
-                        break
-                if satisfied:
-                    continue
-                if not alive:
-                    self.conflict = True
-                    return
-                if len(alive) == 1:
-                    queue.append(alive[0])
-                    continue
-                remaining.append(tuple(alive))
-            self._clauses = remaining
-
-
-def pure_literals(cnf: CNF) -> Set[int]:
-    """Literals whose negation never appears in ``cnf``.
-
-    Pure literals can always be set true without losing satisfiability.
-
-    >>> cnf = CNF(2, [])
-    >>> _ = cnf.add_clause([1, 2])
-    >>> _ = cnf.add_clause([1, -2])
-    >>> pure_literals(cnf)
-    {1}
-    """
-    seen: Set[int] = set()
-    for clause in cnf.clauses:
-        seen.update(clause.literals)
-    return {lit for lit in seen if -lit not in seen}
-
-
-def subsumed_clauses(cnf: CNF) -> Set[int]:
-    """Indices of clauses subsumed by some other (smaller or equal) clause.
-
-    Clause ``C`` subsumes ``D`` when ``C ⊆ D``; ``D`` is then redundant.
-    Quadratic in the number of clauses, intended for the small tomography
-    CNFs and for testing the solver on pre-shrunk inputs.
-    """
-    sets = [frozenset(clause.literals) for clause in cnf.clauses]
-    order = sorted(range(len(sets)), key=lambda i: len(sets[i]))
-    redundant: Set[int] = set()
-    kept: List[int] = []
-    for i in order:
-        if any(sets[j] <= sets[i] for j in kept):
-            redundant.add(i)
-        else:
-            kept.append(i)
-    return redundant
-
-
-def simplified(cnf: CNF) -> CNF:
-    """A logically equivalent CNF with subsumed clauses removed.
-
-    Equivalence here is model-equivalence over the original variables that
-    remain mentioned; unit clauses are preserved so no forced information
-    is lost.
-    """
-    redundant = subsumed_clauses(cnf)
-    clauses = [c for i, c in enumerate(cnf.clauses) if i not in redundant]
-    return CNF(num_vars=cnf.num_vars, clauses=clauses)
-
-
-__all__ = [
-    "propagate_units",
-    "PropagationResult",
-    "IncrementalPropagation",
-    "pure_literals",
-    "subsumed_clauses",
-    "simplified",
-]
+__all__ = ["propagate_units", "PropagationResult"]

@@ -2,14 +2,14 @@
 
 The engine's drain-relevant state is exactly its per-problem data — each
 (URL, anomaly, window) problem's observation sequence (from which the
-clause ledger and the unit-propagation closure are deterministic
-replays), the creation order, which windows have closed and with what
-final solution — plus the stream watermark and the bookkeeping counters.
+clause ledger and its closure are deterministic replays), the creation
+order, which windows have closed and with what final solution — plus
+the stream watermark and the bookkeeping counters.
 :func:`engine_state` captures all of it as one JSON-compatible dict;
 :func:`restore_engine` rebuilds a live engine from it by replaying each
 problem's observations through a fresh :class:`ProblemState` (the ledgers
-and propagation closures come back bit-for-bit because both are pure
-folds over the observation sequence).
+come back bit-for-bit because they are pure folds over the observation
+sequence, and so does each closure, which is a pure fold over its ledger).
 
 The guarantee the property tests pin: for an in-order stream,
 

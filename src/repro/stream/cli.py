@@ -342,8 +342,8 @@ def _print_summary(session: LocalizationSession, world: World) -> None:
     )
     print(
         f"verdict updates: {stats.snapshots} "
-        f"({stats.propagation_decided} by incremental propagation, "
-        f"{stats.fallback_solves} full solves), "
+        f"({stats.propagation_decided} decided by propagation, "
+        f"{stats.fallback_solves} closed by the hitting-set count), "
         f"{stats.events_emitted} events emitted"
     )
     true_censors = sorted(world.deployment.censor_asns)

@@ -2,14 +2,15 @@
 
 :class:`StreamingLocalizer` ingests measurement events one at a time and
 maintains every open (URL, anomaly, window) tomography problem
-incrementally: each observation appends at most one clause to its
-problems' ledgers, the resumable unit-propagation closure updates in
-place, and verdict-delta events go out to subscribers as the candidate
-sets tighten.  Windows are keyed and bucketed exactly like the batch
-splitter (:func:`repro.core.splitting.window_start`), close as the stream
+incrementally: each observation appends at most one path to its
+problems' ledgers and grows their set-algebra closure (the batch solve's
+:class:`~repro.core.problem.Closure`) in place, and verdict-delta events
+go out to subscribers as the candidate sets tighten.  Windows are keyed
+and bucketed exactly like the batch splitter
+(:func:`repro.core.splitting.window_start`), close as the stream
 watermark passes their end, and confirm censors only at close — so a
-confirmed identification can never be retracted by a later in-order event
-(the verdict-monotonicity invariant).
+confirmed identification can never be retracted by a later in-order
+event (the verdict-monotonicity invariant).
 
 Draining a full campaign through the engine produces a
 :class:`~repro.core.pipeline.PipelineResult` byte-identical to
@@ -362,7 +363,7 @@ class StreamingLocalizer:
         self.stats.clauses_appended += 1
         if not self._subscribers:
             return  # verdict deltas are only computed for listeners
-        solution = state.snapshot(self._cache, self.stats)
+        solution = state.snapshot(self.stats)
         key = self._keys[bucket]
         if previous is None or solution.status is not previous.status:
             self._emit(

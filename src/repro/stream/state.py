@@ -2,36 +2,32 @@
 
 A :class:`ProblemState` is one open tomography problem: the shared
 :class:`~repro.core.clauses.PathLedger` (exactly what the batch
-`TomographyProblem` builds from a complete group) plus a resumable
-:class:`~repro.sat.simplify.IncrementalPropagation` whose variables are the
-ASNs themselves.  Each arriving observation appends at most one clause
-(positive for a censored path, negative units for a clean one); the
-propagation closure then updates in place instead of being recomputed from
-scratch.
+`TomographyProblem` builds from a complete group) plus the
+:class:`~repro.core.problem.Closure` the batch solve computes over it.
+Each arriving observation appends at most one path to the ledger and
+grows the closure in place instead of recomputing it from scratch.
 
-Verdict snapshots come from the closure whenever it decides the formula —
-the overwhelmingly common case, mirroring the batch set-algebra fast path
-literal for literal — and fall back to the signature-deduped solve
-(:func:`~repro.core.problem.solve_ledger`, the very function batch uses,
-which closes residuals with a capped hitting-set count) only when a
-genuine residual search space remains.
+Verdict snapshots classify the closure with
+:func:`~repro.core.problem.classify`, the function the batch solve ends
+in, so a snapshot is the batch verdict on the same prefix by
+construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.clauses import PathLedger
 from repro.core.observations import Observation
 from repro.core.problem import (
+    Closure,
     ProblemSolution,
     ProblemSolveCache,
-    SolutionStatus,
+    classify,
     solve_ledger,
 )
 from repro.core.splitting import ProblemKey
-from repro.sat.simplify import IncrementalPropagation
 
 
 @dataclass
@@ -46,8 +42,8 @@ class StreamStats:
     problems_reopened: int = 0
     clauses_appended: int = 0       # ledger entries that added information
     snapshots: int = 0              # verdict recomputations triggered
-    propagation_decided: int = 0    # snapshots closed by incremental state
-    fallback_solves: int = 0        # snapshots needing the full solve path
+    propagation_decided: int = 0    # snapshots decided by propagation alone
+    fallback_solves: int = 0        # snapshots closed by the hitting-set count
     events_emitted: int = 0
 
     def as_dict(self) -> Dict[str, int]:
@@ -74,7 +70,7 @@ class ProblemState:
         "solution_cap",
         "observations",
         "ledger",
-        "propagation",
+        "closure",
         "last_solution",
     )
 
@@ -83,7 +79,7 @@ class ProblemState:
         self.solution_cap = solution_cap
         self.observations: List[Observation] = []
         self.ledger = PathLedger()
-        self.propagation = IncrementalPropagation()
+        self.closure = Closure()
         self.last_solution: Optional[ProblemSolution] = None
 
     def add(self, observation: Observation) -> bool:
@@ -97,42 +93,28 @@ class ProblemState:
         path = observation.as_path
         if not self.ledger.add(path, observation.detected):
             return False
-        if observation.detected:
-            self.propagation.add_clause(list(path))
-        else:
-            add_clause = self.propagation.add_clause
-            for asn in path:
-                add_clause((-asn,))
+        self.closure.add(path, observation.detected)
         return True
 
     @property
     def had_anomaly(self) -> bool:
         return self.ledger.had_anomaly
 
-    def snapshot(
-        self, cache: ProblemSolveCache, stats: StreamStats
-    ) -> ProblemSolution:
+    def snapshot(self, stats: StreamStats) -> ProblemSolution:
         """The problem's verdict over everything ingested so far.
 
-        Decided closures classify directly from the incremental state (no
-        CNF, no solver); inconclusive ones go through the shared
-        :func:`solve_ledger` path, deduplicated by content signature in
-        ``cache``.  Either way the snapshot is exactly what the batch
-        pipeline would report for the same observation prefix.
+        Exactly what the batch pipeline would report for the same
+        observation prefix; a residual left by propagation is closed by
+        the capped hitting-set count, as in batch.
         """
         stats.snapshots += 1
-        propagation = self.propagation
-        if propagation.conflict:
-            stats.propagation_decided += 1
-            solution = self._classify_unsat()
-        elif propagation.decided:
-            stats.propagation_decided += 1
-            solution = self._classify_decided()
-        else:
+        if self.closure.residual:
             stats.fallback_solves += 1
-            solution = solve_ledger(
-                self.key, self.ledger, self.solution_cap, cache
-            )
+        else:
+            stats.propagation_decided += 1
+        solution = classify(
+            self.key, self.ledger, self.solution_cap, self.closure
+        )
         self.last_solution = solution
         return solution
 
@@ -140,74 +122,15 @@ class ProblemState:
         """The problem's *final* solution, via the shared batch solve.
 
         Called at window close, when the clause set is complete.  Routing
-        the final answer through :func:`solve_ledger` (rather than the
-        incremental classification) makes stream/batch equivalence hold by
-        construction: identical ledgers, identical code path, identical
-        bytes.
+        the final answer through :func:`solve_ledger` (the batch memo and
+        its counters) makes stream/batch equivalence hold by construction:
+        identical ledgers, identical code path, identical bytes.
         """
         solution = solve_ledger(
             self.key, self.ledger, self.solution_cap, cache
         )
         self.last_solution = solution
         return solution
-
-    # -- classification from the incremental closure ----------------------
-
-    def _classify_unsat(self) -> ProblemSolution:
-        ledger = self.ledger
-        return ProblemSolution(
-            key=self.key,
-            status=SolutionStatus.UNSATISFIABLE,
-            num_solutions=0,
-            capped=False,
-            observed_ases=ledger.observed_ases(),
-            clause_count=ledger.clause_count,
-            positive_clause_count=ledger.positive_clause_count,
-        )
-
-    def _classify_decided(self) -> ProblemSolution:
-        """Mirror of the batch set-algebra classification, from the closure.
-
-        The incremental closure partitions the observed ASes into
-        forced-False (exonerated), forced-True (pinned censors), and free
-        (only ever seen in satisfied clauses); the 1-vs-2+ split is purely
-        a count of the free variables.
-        """
-        ledger = self.ledger
-        forced = self.propagation.forced
-        observed = ledger.observed_ases()
-        forced_true = frozenset(
-            asn for asn, value in forced.items() if value
-        )
-        forced_false = frozenset(
-            asn for asn, value in forced.items() if not value
-        )
-        free = observed - forced_true - forced_false
-        if not free:
-            return ProblemSolution(
-                key=self.key,
-                status=SolutionStatus.UNIQUE,
-                num_solutions=1,
-                capped=False,
-                observed_ases=observed,
-                censors=forced_true,
-                eliminated=forced_false,
-                clause_count=ledger.clause_count,
-                positive_clause_count=ledger.positive_clause_count,
-            )
-        count = min(self.solution_cap, 2 ** len(free))
-        capped = 2 ** len(free) > self.solution_cap
-        return ProblemSolution(
-            key=self.key,
-            status=SolutionStatus.MULTIPLE,
-            num_solutions=count,
-            capped=capped,
-            observed_ases=observed,
-            potential_censors=forced_true | free,
-            eliminated=forced_false,
-            clause_count=ledger.clause_count,
-            positive_clause_count=ledger.positive_clause_count,
-        )
 
 
 __all__ = ["ProblemState", "StreamStats"]

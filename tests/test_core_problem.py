@@ -11,13 +11,16 @@ import random
 import pytest
 
 from repro.anomaly import Anomaly
+from repro.core.clauses import PathLedger
 from repro.core.observations import Observation
 from repro.core.problem import (
+    Closure,
     ProblemKey,
     ProblemSolveCache,
     SolutionStatus,
     TomographyProblem,
 )
+from repro.sat.simplify import propagate_units
 from repro.util.timeutil import Granularity, window_of
 
 URL = "http://x.com/"
@@ -251,3 +254,113 @@ class TestResidualMatchesReference:
             assert solution == problem.solve_reference(), (
                 problem.observations, problem.solution_cap
             )
+
+
+def close(entries):
+    """A Closure fed ``(path, detected)`` entries in the given order."""
+    closure = Closure()
+    for path, detected in entries:
+        closure.add(tuple(path), detected)
+    return closure
+
+
+def residual_sets(clauses):
+    return sorted(sorted(frozenset(clause)) for clause in clauses)
+
+
+class TestClosure:
+    """The set-algebra closure equals the unit-propagation fixpoint."""
+
+    def test_clean_paths_force_last_live_as(self):
+        closure = close([((1, 2, 3), True), ((1,), False), ((3,), False)])
+        assert not closure.conflict
+        assert closure.forced_false == {1, 3}
+        assert closure.forced_true == {2}
+        assert closure.residual == []
+
+    def test_conflict_on_fully_exonerated_censored_path(self):
+        closure = close([((1, 2), True), ((1,), False), ((2,), False)])
+        assert closure.conflict
+        assert closure.residual == []
+
+    def test_clean_path_through_forced_censor_conflicts(self):
+        closure = close([((1, 2), True), ((1,), False), ((2, 3), False)])
+        assert closure.conflict
+
+    def test_conflict_is_terminal(self):
+        closure = close([((1,), True), ((1,), False)])
+        assert closure.conflict
+        closure.add((2, 3), True)
+        closure.add((4,), False)
+        assert closure.residual == []
+        assert closure.forced_false == set()
+
+    def test_satisfied_path_is_noop(self):
+        closure = close([((1,), True)])
+        closure.add((1, 2), True)
+        assert closure.residual == []
+        assert closure.forced_true == {1}
+
+    def test_residual_reduces_incrementally(self):
+        closure = close([((1, 2, 3), True), ((1,), False)])
+        assert closure.residual == [(2, 3)]
+        closure.add((2,), False)
+        assert closure.residual == []
+        assert closure.forced_true == {3}
+
+    def test_insertion_order_is_irrelevant(self):
+        entries = [
+            ((1, 2, 3), True), ((2,), False), ((3, 4), True),
+            ((4,), False), ((1,), False),
+        ]
+        forward = close(entries)
+        backward = close(list(reversed(entries)))
+        assert forward.conflict == backward.conflict
+        assert forward.forced_false == backward.forced_false
+        assert forward.forced_true == backward.forced_true
+        assert residual_sets(forward.residual) == residual_sets(
+            backward.residual
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_propagate_units(self, seed):
+        """Random tomography-shaped ledgers, each fed in 3 shuffled
+        orders, close to propagate_units over the ledger's CNF."""
+        rng = random.Random(seed)
+        outcomes = set()
+        for _ in range(300):
+            ases = range(1, rng.randint(2, 9) + 1)
+            ledger = PathLedger()
+            for detected, count in ((True, rng.randint(1, 6)),
+                                    (False, rng.randint(0, 5))):
+                for _ in range(count):
+                    path = rng.choices(ases, k=rng.randint(1, 4))
+                    ledger.add(tuple(path), detected)
+            cnf, builder = ledger.build_cnf()
+            reference = propagate_units(cnf)
+            forced = {
+                builder.name_of(var): value
+                for var, value in reference.forced.items()
+            }
+            residual = residual_sets(
+                [builder.name_of(abs(lit)) for lit in clause.literals]
+                for clause in reference.residual
+            )
+            entries = list(ledger.entries)
+            for _ in range(3):
+                rng.shuffle(entries)
+                closure = close(entries)
+                assert closure.conflict == reference.conflict, entries
+                if reference.conflict:
+                    continue
+                assert forced == {
+                    **dict.fromkeys(closure.forced_false, False),
+                    **dict.fromkeys(closure.forced_true, True),
+                }, entries
+                assert residual_sets(closure.residual) == residual, entries
+            outcomes.add(
+                "conflict" if reference.conflict
+                else "residual" if reference.residual
+                else "decided"
+            )
+        assert outcomes == {"conflict", "residual", "decided"}

@@ -4,14 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF, Clause
-from repro.sat.enumerate import count_models
-from repro.sat.simplify import (
-    IncrementalPropagation,
-    propagate_units,
-    pure_literals,
-    simplified,
-    subsumed_clauses,
-)
+from repro.sat.simplify import propagate_units
 from repro.sat.solver import Solver
 
 
@@ -85,125 +78,3 @@ class TestPropagateUnits:
                 (v if value else -v) for v, value in result.forced.items()
             ]
             assert Solver(cnf).solve(assumptions=assumptions).satisfiable == solver_sat
-
-
-class TestPureLiterals:
-    def test_detects_pure(self):
-        cnf = CNF(2, [Clause([1, 2]), Clause([1, -2])])
-        assert pure_literals(cnf) == {1}
-
-    def test_no_pure(self):
-        cnf = CNF(1, [Clause([1]), Clause([-1])])
-        assert pure_literals(cnf) == set()
-
-    def test_all_pure(self):
-        cnf = CNF(2, [Clause([1]), Clause([-2])])
-        assert pure_literals(cnf) == {1, -2}
-
-
-class TestSubsumption:
-    def test_subset_subsumes(self):
-        cnf = CNF(3, [Clause([1]), Clause([1, 2]), Clause([1, 2, 3])])
-        redundant = subsumed_clauses(cnf)
-        assert redundant == {1, 2}
-
-    def test_equal_clauses_keep_one(self):
-        cnf = CNF(2, [Clause([1, 2]), Clause([2, 1])])
-        assert len(subsumed_clauses(cnf)) == 1
-
-    def test_no_subsumption(self):
-        cnf = CNF(3, [Clause([1, 2]), Clause([2, 3])])
-        assert subsumed_clauses(cnf) == set()
-
-    @settings(max_examples=150, deadline=None)
-    @given(random_cnf_strategy())
-    def test_simplified_preserves_model_count(self, cnf):
-        slim = simplified(cnf)
-        # Project both counts onto the original variable set: dropping a
-        # subsumed clause may remove a variable from the formula entirely,
-        # but the models over the original variables are unchanged.
-        variables = sorted(cnf.variables())
-        assert count_models(slim, cap=64, variables=variables) == count_models(
-            cnf, cap=64, variables=variables
-        )
-        assert len(slim) <= len(cnf)
-
-
-class TestIncrementalPropagation:
-    """The resumable closure must match the batch closure exactly."""
-
-    def _drain(self, clauses):
-        state = IncrementalPropagation()
-        for clause in clauses:
-            state.add_clause(clause)
-        return state
-
-    def test_matches_docstring_example(self):
-        state = self._drain([[1, 2, 3], [-1], [-3]])
-        assert not state.conflict
-        assert state.forced == {1: False, 3: False, 2: True}
-        assert state.residual == []
-
-    def test_conflict_on_fully_exonerated_positive_clause(self):
-        state = self._drain([[1, 2], [-1], [-2]])
-        assert state.conflict
-        assert state.decided
-
-    def test_conflict_is_terminal(self):
-        state = self._drain([[1], [-1]])
-        assert state.conflict
-        assert not state.add_clause([2, 3])
-        assert state.residual == []
-
-    def test_satisfied_clause_is_noop(self):
-        state = self._drain([[1]])
-        assert not state.add_clause([1, 2])
-        assert state.residual == []
-
-    def test_tautology_is_noop(self):
-        state = IncrementalPropagation()
-        assert not state.add_clause([1, -1])
-        assert state.forced == {}
-
-    def test_residual_reduces_incrementally(self):
-        state = self._drain([[1, 2, 3], [-1]])
-        assert state.residual == [(2, 3)]
-        state.add_clause([-2])
-        assert state.residual == []
-        assert state.forced[3] is True
-
-    def test_insertion_order_is_irrelevant(self):
-        clauses = [[1, 2, 3], [-2], [3, 4], [-4], [-1]]
-        forward = self._drain(clauses)
-        backward = self._drain(list(reversed(clauses)))
-        assert forward.conflict == backward.conflict
-        assert forward.forced == backward.forced
-        assert sorted(map(frozenset, forward.residual)) == sorted(
-            map(frozenset, backward.residual)
-        )
-
-    def test_zero_literal_rejected(self):
-        state = IncrementalPropagation()
-        try:
-            state.add_clause([0])
-        except ValueError:
-            pass
-        else:
-            raise AssertionError("expected ValueError")
-
-    @settings(max_examples=200, deadline=None)
-    @given(random_cnf_strategy())
-    def test_incremental_equals_batch_closure(self, cnf):
-        """Appending a CNF clause by clause reaches the same fixpoint as
-        propagate_units over the complete formula (confluence)."""
-        batch = propagate_units(cnf)
-        state = IncrementalPropagation()
-        for clause in cnf.clauses:
-            state.add_clause(clause.literals)
-        assert state.conflict == batch.conflict
-        if batch.conflict:
-            return
-        assert state.forced == batch.forced
-        assert sorted(tuple(c) for c in state.residual) == sorted(
-            tuple(c.literals) for c in batch.residual
-        )

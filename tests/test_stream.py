@@ -232,12 +232,11 @@ class TestIncrementalState:
     """Per-prefix snapshots agree with the batch solve on that prefix."""
 
     def test_prefix_snapshots_match_batch_solve(self, tiny_world, tiny_dataset):
+        """Every anomalous problem, at every prefix that changed its ledger,
+        snapshots to both the batch solve and the reference oracle."""
         observations, _ = build_observations(tiny_dataset, tiny_world.ip2as)
         groups = split_observations(observations)
         stats = StreamStats()
-        from repro.core.problem import ProblemSolveCache
-
-        cache = ProblemSolveCache()
         checked = 0
         for key, group in groups.items():
             if not any(o.detected for o in group):
@@ -247,18 +246,19 @@ class TestIncrementalState:
                 changed = state.add(group[prefix_end - 1])
                 if not changed and prefix_end < len(group):
                     continue
-                snapshot = state.snapshot(cache, stats)
-                reference = TomographyProblem(
-                    key, group[:prefix_end]
-                ).solve()
-                assert snapshot == reference, (
-                    f"{key} diverged at prefix {prefix_end}"
+                snapshot = state.snapshot(stats)
+                prefix = TomographyProblem(key, group[:prefix_end])
+                assert snapshot == prefix.solve(), (
+                    f"{key} diverged from solve() at prefix {prefix_end}"
+                )
+                assert snapshot == prefix.solve_reference(), (
+                    f"{key} diverged from solve_reference() at prefix "
+                    f"{prefix_end}"
                 )
             checked += 1
-            if checked >= 12:
-                break
-        assert checked > 0
+        assert checked > 12
         assert stats.propagation_decided > 0
+        assert stats.fallback_solves > 0
 
     def test_duplicate_observations_are_noops(self):
         key = ProblemStateFactory.key()
