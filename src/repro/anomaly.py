@@ -29,6 +29,12 @@ class Anomaly(enum.Enum):
     THROTTLE = "throttle"  # extension: bandwidth throttling (M-Lab analog)
     BRIDGE = "bridge"      # extension: Tor bridge reachability blocking
 
+    # Members are singletons compared by identity, so the C-level
+    # identity hash is consistent with equality.  Enum's own __hash__
+    # (a Python-level hash of the name) showed up in profiles of the
+    # stream engine, whose bucket keys start with an Anomaly.
+    __hash__ = object.__hash__
+
     @classmethod
     def all(cls) -> tuple["Anomaly", ...]:
         """The five ICLab anomaly types, in the paper's Figure-1b order."""

@@ -77,7 +77,6 @@ or attach exchange instead.
 
 from __future__ import annotations
 
-import gc
 import pickle
 from typing import Any, Dict, Optional, Tuple
 
@@ -86,6 +85,7 @@ from repro.core.observations import Observation, _observation
 from repro.core.problem import ProblemSolution, SolutionStatus
 from repro.core.splitting import Granularity, ProblemKey
 from repro.stream.events import VerdictEvent, VerdictKind
+from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
 WIRE_FORMAT = 5
@@ -109,35 +109,25 @@ class WireFormatError(RuntimeError):
 # -- framing ----------------------------------------------------------------
 
 
-# Both directions pause the cyclic collector.  A bulk frame (a drained
+# Both directions pause the cyclic collector
+# (:func:`repro.util.collector.paused`).  A bulk frame (a drained
 # result, a drain payload) builds tens of thousands of objects, and
 # every collection triggered meanwhile walks them all to find no
-# garbage.  The collector's state is process-wide: each call restores
-# what it found, so it never turns GC on for a caller that had it off,
-# and two overlapping calls on different threads can at worst leave one
-# of them running with GC on.
+# garbage.  The pause is shared and re-entrant: overlapping calls on
+# different threads keep the collector off until the last one leaves,
+# and it is never turned on for a caller that had it off.
 
 
 def encode(message: Tuple) -> bytes:
     """One protocol message as one frame's payload bytes."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused():
         return pickle.dumps(message, _PROTOCOL)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 def decode(data: bytes) -> Tuple:
     """Inverse of :func:`encode`."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with paused():
         return pickle.loads(data)
-    finally:
-        if enabled:
-            gc.enable()
 
 
 # -- observations ------------------------------------------------------------

@@ -51,6 +51,7 @@ class PathLedger:
         "_seen_positive",
         "_seen_negative",
         "_observed",
+        "_clause_count",
     )
 
     def __init__(self) -> None:
@@ -60,6 +61,7 @@ class PathLedger:
         self._seen_positive: Set[Tuple[int, ...]] = set()
         self._seen_negative: Set[Tuple[int, ...]] = set()
         self._observed: Set[int] = set()
+        self._clause_count = 0
 
     def add(self, path: Tuple[int, ...], detected: bool) -> bool:
         """Record one observation's path; True when it added information.
@@ -73,11 +75,13 @@ class PathLedger:
                 return False
             self._seen_positive.add(path)
             self.positive.append(path)
+            self._clause_count += 1
         else:
             if path in self._seen_negative:
                 return False
             self._seen_negative.add(path)
             self.negative.append(path)
+            self._clause_count += len(path)
         self.entries.append((path, detected))
         self._observed.update(path)
         return True
@@ -100,8 +104,10 @@ class PathLedger:
     def clause_count(self) -> int:
         """CNF clause count: one per censored path, one unit per AS of
         each clean path (duplicates within a path collapse inside a
-        positive clause but repeat as units, exactly like CNFBuilder)."""
-        return len(self.positive) + sum(len(path) for path in self.negative)
+        positive clause but repeat as units, exactly like CNFBuilder).
+        Counted as paths are added, since the stream reads it on every
+        verdict snapshot."""
+        return self._clause_count
 
     @property
     def positive_clause_count(self) -> int:

@@ -37,6 +37,7 @@ from repro.core.reduction import ReductionStats, reduction_of
 from repro.core.splitting import ProblemKey, split_observations
 from repro.iclab.dataset import Dataset
 from repro.topology.ip2as import IpToAsDatabase
+from repro.util.collector import paused
 from repro.util.profiling import StageTimer, maybe_stage
 from repro.util.timeutil import Granularity, TimeWindow
 
@@ -363,23 +364,29 @@ class LocalizationPipeline:
 
     # -- public entry points ---------------------------------------------
 
+    # Every entry point runs with the cyclic collector paused: the chain
+    # builds ~300k container objects and no reference cycles, so each
+    # collection it would trigger walks them all and frees nothing.
+
     def run(self, dataset: Dataset) -> PipelineResult:
         """Localize censors from a dataset."""
-        with maybe_stage(self.timer, "pipeline.observations"):
-            observations, discard_stats = build_observations(
-                dataset, self.ip2as, anomalies=self.config.anomalies
-            )
-        return self.run_from_observations(observations, discard_stats)
+        with paused():
+            with maybe_stage(self.timer, "pipeline.observations"):
+                observations, discard_stats = build_observations(
+                    dataset, self.ip2as, anomalies=self.config.anomalies
+                )
+            return self.run_from_observations(observations, discard_stats)
 
     def run_without_churn(self, dataset: Dataset) -> PipelineResult:
         """The Figure-4 ablation: drop every churn-created path."""
-        with maybe_stage(self.timer, "pipeline.observations"):
-            observations, discard_stats = build_observations(
-                dataset, self.ip2as, anomalies=self.config.anomalies
+        with paused():
+            with maybe_stage(self.timer, "pipeline.observations"):
+                observations, discard_stats = build_observations(
+                    dataset, self.ip2as, anomalies=self.config.anomalies
+                )
+            return self.run_from_observations(
+                first_path_only(observations), discard_stats
             )
-        return self.run_from_observations(
-            first_path_only(observations), discard_stats
-        )
 
     def run_from_observations(
         self,
@@ -395,43 +402,44 @@ class LocalizationPipeline:
         conversion was not observed here, and a zero total keeps
         ``conversion_rate`` from reporting a fabricated 100%.
         """
-        if discard_stats is None:
-            discard_stats = DiscardStats()
-        timer = self.timer
-        with maybe_stage(timer, "pipeline.split"):
-            groups = split_observations(
-                observations, granularities=self.config.granularities
-            )
-        # The problems were grouped by this very pipeline, so per-problem
-        # membership re-validation is skipped; external callers of
-        # TomographyProblem still get the checks.
-        cache = ProblemSolveCache() if self.config.optimized else None
-        solutions: List[ProblemSolution] = []
-        with maybe_stage(timer, "pipeline.solve"):
-            for key, group in groups.items():
-                if self.config.skip_anomaly_free_problems and not any(
-                    observation.detected for observation in group
-                ):
-                    continue
-                problem = TomographyProblem(
-                    key,
-                    group,
-                    solution_cap=self.config.solution_cap,
-                    validate=False,
+        with paused():
+            if discard_stats is None:
+                discard_stats = DiscardStats()
+            timer = self.timer
+            with maybe_stage(timer, "pipeline.split"):
+                groups = split_observations(
+                    observations, granularities=self.config.granularities
                 )
-                if cache is not None:
-                    solutions.append(problem.solve(cache))
-                else:
-                    solutions.append(problem.solve_reference())
-        self.last_solve_stats = cache.stats if cache is not None else None
-        if timer is not None and cache is not None:
-            for name, value in cache.stats.as_dict().items():
-                timer.count(f"solve.{name}", value)
-        with maybe_stage(timer, "pipeline.reports"):
-            result = assemble_result(
-                solutions, groups, discard_stats, self.country_by_asn
-            )
-        return result
+            # The problems were grouped by this very pipeline, so per-problem
+            # membership re-validation is skipped; external callers of
+            # TomographyProblem still get the checks.
+            cache = ProblemSolveCache() if self.config.optimized else None
+            solutions: List[ProblemSolution] = []
+            with maybe_stage(timer, "pipeline.solve"):
+                for key, group in groups.items():
+                    if self.config.skip_anomaly_free_problems and not any(
+                        observation.detected for observation in group
+                    ):
+                        continue
+                    problem = TomographyProblem(
+                        key,
+                        group,
+                        solution_cap=self.config.solution_cap,
+                        validate=False,
+                    )
+                    if cache is not None:
+                        solutions.append(problem.solve(cache))
+                    else:
+                        solutions.append(problem.solve_reference())
+            self.last_solve_stats = cache.stats if cache is not None else None
+            if timer is not None and cache is not None:
+                for name, value in cache.stats.as_dict().items():
+                    timer.count(f"solve.{name}", value)
+            with maybe_stage(timer, "pipeline.reports"):
+                result = assemble_result(
+                    solutions, groups, discard_stats, self.country_by_asn
+                )
+            return result
 
 
 def assemble_result(

@@ -25,12 +25,11 @@ timeline — noted in the exported metadata.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 SPAN_FORMAT = 1
 
@@ -49,7 +48,7 @@ def shard_track(index: int) -> str:
     return f"shard {index}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Span:
     """One closed interval on one track."""
 
@@ -127,32 +126,20 @@ class SpanRecorder:
         self._spans.append(span)
         return span
 
-    @contextlib.contextmanager
     def span(
         self,
         name: str,
         category: str = "fabric",
         track: str = TRACK_PARENT,
         **args: Any,
-    ) -> Iterator[Dict[str, Any]]:
+    ) -> _OpenSpan:
         """Measure the block on this recorder's clock.
 
-        Yields the args dict so the block can attach results discovered
-        mid-flight (``ctx["events"] = n``) before the span closes.
+        The ``with`` target is the args dict, so the block can attach
+        results discovered mid-flight (``ctx["events"] = n``) before the
+        span closes.
         """
-        started = self.clock()
-        live_args = dict(args)
-        try:
-            yield live_args
-        finally:
-            self.record(
-                name,
-                start=started,
-                duration=self.clock() - started,
-                category=category,
-                track=track,
-                **live_args,
-            )
+        return _OpenSpan(self, name, category, track, args)
 
     def merge(
         self,
@@ -248,6 +235,48 @@ class SpanRecorder:
             json.dump(self.to_chrome_trace(), handle, indent=1)
             handle.write("\n")
         return len(self._spans)
+
+
+class _OpenSpan:
+    """The context manager :meth:`SpanRecorder.span` returns.
+
+    A plain class, not a ``contextlib`` generator, which cost more per
+    span than recording it: the engine opens one per window close.
+    """
+
+    __slots__ = (
+        "_recorder", "_name", "_category", "_track", "_args", "_started"
+    )
+
+    def __init__(
+        self,
+        recorder: SpanRecorder,
+        name: str,
+        category: str,
+        track: str,
+        args: Dict[str, Any],
+    ) -> None:
+        self._recorder = recorder
+        self._name = name
+        self._category = category
+        self._track = track
+        self._args = args
+
+    def __enter__(self) -> Dict[str, Any]:
+        self._started = self._recorder.clock()
+        return self._args
+
+    def __exit__(self, *exc_info: object) -> None:
+        recorder = self._recorder
+        started = self._started
+        recorder.record(
+            self._name,
+            start=started,
+            duration=recorder.clock() - started,
+            category=self._category,
+            track=self._track,
+            **self._args,
+        )
 
 
 __all__ = [

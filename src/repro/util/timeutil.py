@@ -33,6 +33,10 @@ class Granularity(enum.Enum):
     MONTH = "month"
     YEAR = "year"
 
+    # Identity hash, as on repro.anomaly.Anomaly: members are singletons
+    # and ProblemKey hashes one on every dict lookup.
+    __hash__ = object.__hash__
+
     @property
     def seconds(self) -> int:
         """Window length in seconds."""

@@ -181,6 +181,22 @@ class TestDeduplication:
         assert solution.positive_clause_count == 1
         assert solution.clause_count == 3
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_ledger_clause_count_tracks_every_add(self, seed):
+        """The running count equals the built CNF's clause count after
+        every add, duplicates and repeated ASes within a path included."""
+        rng = random.Random(seed)
+        for _ in range(100):
+            ases = range(1, rng.randint(2, 7) + 1)
+            ledger = PathLedger()
+            assert ledger.clause_count == 0
+            for _ in range(rng.randint(1, 15)):
+                path = tuple(rng.choices(ases, k=rng.randint(1, 4)))
+                ledger.add(path, rng.random() < 0.4)
+                cnf, _ = ledger.build_cnf()
+                assert ledger.clause_count == len(cnf.clauses)
+                assert ledger.positive_clause_count == len(ledger.positive)
+
 
 class TestSolutionCap:
     def test_cap_respected(self):

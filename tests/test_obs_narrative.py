@@ -204,6 +204,21 @@ class TestSpans:
             "args": {"answer": 1, "late": True},
         }
 
+    def test_span_recorded_when_block_raises(self):
+        recorder = SpanRecorder(clock=FakeClock(start=0.0, step=1.0))
+        with pytest.raises(ValueError):
+            with recorder.span("work", n=2):
+                raise ValueError("boom")
+        (span,) = recorder.snapshot()
+        assert (span["name"], span["duration"], span["args"]) == (
+            "work", 1.0, {"n": 2}
+        )
+
+    def test_span_is_slotted(self):
+        recorder = SpanRecorder(clock=FakeClock())
+        span = recorder.record("a", start=0.0, duration=1.0)
+        assert not hasattr(span, "__dict__")
+
     def test_chrome_trace_pinned_under_fake_clock(self):
         recorder = SpanRecorder(clock=FakeClock())
         recorder.record("a", start=0.0, duration=1.0, track="parent")

@@ -206,10 +206,12 @@ class TestByteIdentity:
             client.close()
             assert client.reconnects >= 1
             assert result.to_dict() == tiny_batch.to_dict()
-            # A drained campaign costs nothing on the next restart.
-            assert not state_path(state_dir, "phoenix").exists()
         finally:
             second.stop()
+        # A drained campaign costs nothing on the next restart.  The
+        # daemon drops the state file just after sending the result, so
+        # look once it has stopped: its shutdown waits for that step.
+        assert not state_path(state_dir, "phoenix").exists()
 
 
 class TestSubscribers:

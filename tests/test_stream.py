@@ -525,3 +525,27 @@ class TestTimeToLocalization:
         assert len(rows) >= len(payload["identified"])
         for entry in payload["identified"]:
             assert entry["measurements"] <= engine.stats.measurements
+
+
+class TestBucketKeyHash:
+    """Bucket keys and ProblemKeys hash an Anomaly and a Granularity on
+    every lookup; both use the C-level identity hash, not Enum's
+    Python-level name hash."""
+
+    @pytest.mark.parametrize("enum_type", [Anomaly, Granularity])
+    def test_identity_hash(self, enum_type):
+        assert enum_type.__hash__ is object.__hash__
+        for member in enum_type:
+            assert hash(member) == object.__hash__(member)
+
+    @pytest.mark.parametrize("enum_type", [Anomaly, Granularity])
+    def test_lookups_by_member(self, enum_type):
+        members = list(enum_type)
+        table = {member: member.value for member in members}
+        assert len(table) == len(members)
+        for member in members:
+            assert table[member] == member.value
+            assert table[enum_type(member.value)] == member.value
+            assert member in set(members)
+            assert (member, "url", 0) in {(m, "url", 0) for m in members}
+        assert {members[0]} != {members[1]}
