@@ -52,7 +52,7 @@ import queue as queue_module
 import threading
 import time
 import traceback
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.observations import (
@@ -974,15 +974,13 @@ class ShardedBackend(ExecutionBackend):
         self._merged_stats: Optional[StreamStats] = None
         self._merged_identifications: List = []
         # Observability (all optional, all side-band): per-shard parent
-        # instruments, a tracer for verdict-latency spans, and the
-        # highest buffered-but-unsent stream timestamp per shard.
+        # instruments and a tracer for verdict-latency spans.
         self._metrics = context.metrics
         self._spans = context.spans
         self._flight = context.flight
         self._flight_dir = context.flight_dir or ".flight-recorder"
         self._tracer: Optional[Tracer] = None
         self._shard_metrics: Optional[List[_ShardMetrics]] = None
-        self._buffer_max_ts: List[Optional[int]] = [None] * self.shards
         if self._metrics is not None:
             self._tracer = Tracer(self._metrics)
             self._shard_metrics = [
@@ -1002,12 +1000,17 @@ class ShardedBackend(ExecutionBackend):
         """Snapshot-time liveness: how long each shard has gone without
         acking while frames are outstanding.  Feeds ``/healthz`` — a
         hung-but-alive worker shows up here, not in ``repro_shard_up``.
+        Also each shard's buffered-but-unsent observations, read here
+        rather than kept current on every ingest.
         """
         # Local refs + a length guard: metrics scrapes run on their own
         # thread, and a live rebalance resizes these lists under us.
         workers = self._workers
+        buffers = self._buffers
         now = registry.clock()
         for index, shard_metrics in enumerate(list(self._shard_metrics)):
+            if index < len(buffers):
+                shard_metrics.buffered.set(len(buffers[index]))
             outstanding = (
                 workers[index].outstanding
                 if workers is not None and index < len(workers)
@@ -1172,7 +1175,6 @@ class ShardedBackend(ExecutionBackend):
         calling here)."""
         assert self._workers is not None
         self._buffers.append([])
-        self._buffer_max_ts.append(None)
         if (
             self.transport_kind == TRANSPORT_SOCKET
             and self._listeners is not None
@@ -1286,11 +1288,6 @@ class ShardedBackend(ExecutionBackend):
             )
         buffer = self._buffers[shard]
         buffer.append(wire.observation_to_wire(observation, anomaly_value))
-        if self._shard_metrics is not None:
-            high = self._buffer_max_ts[shard]
-            if high is None or timestamp > high:
-                self._buffer_max_ts[shard] = timestamp
-            self._shard_metrics[shard].buffered.set(len(buffer))
         if len(buffer) >= self.chunk_size:
             self._flush(shard)
 
@@ -1370,25 +1367,26 @@ class ShardedBackend(ExecutionBackend):
             # worker echoes it on its reply, and the verdict-latency
             # histogram closes on the parent's clock at delivery —
             # both stamps one process, no cross-host clock trust.
-            watermark = self._buffer_max_ts[shard]
+            # The chunk's highest stream timestamp.
+            watermark = max(
+                item[wire.OBSERVATION_TIMESTAMP_INDEX] for item in buffer
+            )
             context = self._tracer.start(watermark=watermark)
             clock = self._metrics.clock
             started = clock()
             frame = wire.encode(("obs", buffer, context.to_wire()))
             shard_metrics.encode_seconds.observe(clock() - started)
-            if watermark is not None and (
+            if (
                 shard_metrics.sent_watermark is None
                 or watermark > shard_metrics.sent_watermark
             ):
                 shard_metrics.sent_watermark = watermark
-            self._buffer_max_ts[shard] = None
             shard_metrics.chunks.inc()
             shard_metrics.last_send_clock = started
             expects_reply = True        # the worker acks in metrics mode
         self._post_frame(worker, frame, expects_reply=expects_reply)
         self._buffers[shard] = []
         if shard_metrics is not None:
-            shard_metrics.buffered.set(0)
             shard_metrics.queue_depth.set(worker.outstanding)
             shard_metrics.replay_log.set(len(worker.log))
         worker.chunks_since_snapshot += 1
@@ -1570,10 +1568,11 @@ class ShardedBackend(ExecutionBackend):
                 )
         if not self.context.subscribers:
             return
+        after = seq + 1
         for payload in fresh:
             self._sequence += 1
-            event = replace(
-                wire.event_from_wire(payload), sequence=self._sequence
+            event = wire.event_from_wire(
+                payload[:seq] + (self._sequence,) + payload[after:]
             )
             for subscriber in self.context.subscribers:
                 subscriber(event)
@@ -2151,7 +2150,6 @@ class ShardedBackend(ExecutionBackend):
         if removed:
             del self._workers[self.shards:]
             del self._buffers[self.shards:]
-            del self._buffer_max_ts[self.shards:]
             if self._listeners is not None:
                 for listener in self._listeners[self.shards:]:
                     listener.close()

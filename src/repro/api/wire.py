@@ -95,6 +95,9 @@ _PROTOCOL = pickle.HIGHEST_PROTOCOL
 # Index of the shard-local sequence inside an event tuple — the parent's
 # recovery dedup filters on it without decoding the whole event.
 EVENT_SEQUENCE_INDEX = 2
+# Index of the stream timestamp inside an observation tuple — the parent
+# reads a chunk's watermark off its buffered tuples.
+OBSERVATION_TIMESTAMP_INDEX = 4
 
 # Enum lookups by value go through EnumType.__call__ — far too slow for
 # a per-observation decode path.  Plain dict lookups instead.
@@ -499,6 +502,7 @@ def check_hello_ack(message: Tuple) -> None:
 __all__ = [
     "WIRE_FORMAT",
     "EVENT_SEQUENCE_INDEX",
+    "OBSERVATION_TIMESTAMP_INDEX",
     "WireFormatError",
     "encode",
     "decode",

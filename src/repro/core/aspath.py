@@ -79,7 +79,7 @@ def convert_traceroute(
     resolve = ip2as.resolver_at(timestamp)
     mapped: List[Optional[int]] = []
     any_mapped = False
-    for _, address, _ in traceroute.hops:
+    for address in traceroute.addresses:
         if address is None:
             mapped.append(None)
             continue
@@ -123,7 +123,9 @@ def convert_measurement(
     per-traceroute conversions: a traceroute's outcome is a pure function
     of its hop-address sequence, its error/reached flags, and the IP-to-AS
     epoch in force — and loss-free runs over popular router paths repeat
-    those inputs thousands of times per campaign.
+    those inputs thousands of times per campaign.  The key holds the run's
+    own ``addresses`` tuple, which complete runs over one router path
+    share, so a repeat hit compares by identity.
     """
     paths: List[Tuple[int, ...]] = []
     reasons: List[InconclusiveReason] = []
@@ -133,7 +135,7 @@ def convert_measurement(
     for traceroute in measurement.traceroutes:
         if cache is not None:
             signature = (
-                tuple([address for _, address, _ in traceroute.hops]),
+                traceroute.addresses,
                 traceroute.error,
                 traceroute.destination_reached,
                 epoch_key,

@@ -18,7 +18,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.censorship.deployment import CensorDeployment
 from repro.iclab.dataset import Dataset
@@ -44,6 +44,8 @@ from repro.util.timeutil import DAY
 
 _GOOGLE_DNS = parse_ipv4("8.8.8.8")
 _RACING_WINDOW = 600  # seconds: a route change this close may race the test
+# Ground truth of every test no injector fired in: one shared empty set.
+_NO_INJECTORS: FrozenSet[int] = frozenset()
 
 
 @dataclass(frozen=True)
@@ -250,7 +252,7 @@ class ICLabPlatform:
             anomalies=anomalies,
             traceroutes=tuple(traceroutes),
             true_as_path=tuple(as_path),
-            injector_asns=frozenset(injectors),
+            injector_asns=frozenset(injectors) if injectors else _NO_INJECTORS,
         )
         self._next_id += 1
         return measurement

@@ -14,6 +14,7 @@ and the churn measured by Figure 3 would be inflated.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 from repro.topology.prefixes import PrefixAllocation
@@ -35,6 +36,12 @@ class RouterPath:
 
     as_path: Tuple[int, ...]
     hops: Tuple[RouterHop, ...]
+
+    @cached_property
+    def addresses(self) -> Tuple[int, ...]:
+        """Every router's address in hop order: the one tuple each
+        complete traceroute over this path shares."""
+        return tuple(hop.address for hop in self.hops)
 
     @property
     def hop_count(self) -> int:

@@ -28,19 +28,21 @@ tables are kept in an LRU cache — evicting one cold table at a time
 instead of discarding the whole working set.
 
 Most tables the churn engine asks for fail one link of an intact table
-already in cache.  Those cost O(users of the link) rather than O(ASes):
-the intact table is copied, and only the nodes whose path crossed the
-failed link re-run the three phases (see
-:meth:`RouteComputer._compute_failed`).  A link's users number a handful
-on average, against hundreds of ASes per table.
+already in cache.  Those cost O(users of the link) rather than O(ASes), in
+time and in memory: only the nodes whose path crossed the failed link
+re-run the three phases (see :meth:`RouteComputer._compute_failed`), and
+the table keeps just their entries over a reference to the intact table.
+A link's users number a handful on average, against hundreds of ASes per
+table; a paper-shaped campaign's ~2,300 failed-link tables once held a
+full copy each, 20 MiB together.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.routing.policy import RouteClass, tie_break_rank
 from repro.topology.graph import ASGraph
@@ -53,34 +55,75 @@ def _link_key(a: int, b: int) -> LinkKey:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
 class RoutingTable:
     """Best AS paths from every source to one destination.
 
     ``paths[src]`` is the AS-level path ``(src, ..., dst)``; sources with no
     policy-compliant route (partitioned by failures) are absent.
 
+    An intact table holds every path in ``entries``.  A single-link-failure
+    table holds a reference to its intact ``base`` and, in ``entries``,
+    only the paths of the failed link's users, ``None`` marking a user the
+    failure partitioned: :meth:`path_from` reads those entries first, then
+    the base, and :attr:`paths` builds the full mapping on each access.
+
     ``phase1_paths`` (the customer routes, destination included) is an
     internal byproduct recorded for intact tables only; the incremental
     failed-link recomputation seeds from it.  It carries no information
-    beyond the propagation that produced ``paths`` and is excluded from
+    beyond the propagation that produced the paths and is excluded from
     equality.
     """
 
-    destination: int
-    paths: Dict[int, ASPath]
-    phase1_paths: Optional[Dict[int, ASPath]] = field(
-        default=None, compare=False, repr=False
-    )
+    __slots__ = ("destination", "entries", "base", "phase1_paths")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(
+        self,
+        destination: int,
+        entries: Dict[int, Optional[ASPath]],
+        base: Optional["RoutingTable"] = None,
+        phase1_paths: Optional[Dict[int, ASPath]] = None,
+    ) -> None:
+        self.destination = destination
+        self.entries = entries
+        self.base = base
+        self.phase1_paths = phase1_paths
+
+    @property
+    def paths(self) -> Dict[int, ASPath]:
+        """Every reachable source's path."""
+        if self.base is None:
+            return self.entries  # type: ignore[return-value]
+        paths = dict(self.base.entries)
+        for node in self.entries:
+            del paths[node]
+        for node, path in self.entries.items():
+            if path is not None:
+                paths[node] = path
+        return paths
 
     def path_from(self, src: int) -> Optional[ASPath]:
         """The path from ``src``, or None if unreachable."""
         if src == self.destination:
             return (src,)
-        return self.paths.get(src)
+        base = self.base
+        if base is not None and src not in self.entries:
+            return base.entries.get(src)
+        return self.entries.get(src)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoutingTable):
+            return NotImplemented
+        return (
+            self.destination == other.destination
+            and self.paths == other.paths
+        )
 
     def __len__(self) -> int:
-        return len(self.paths)
+        if self.base is None:
+            return len(self.entries)
+        partitioned = sum(path is None for path in self.entries.values())
+        return len(self.base.entries) - partitioned
 
 
 @dataclass
@@ -365,7 +408,7 @@ class RouteComputer:
                 settled[asn] = 0
         return RoutingTable(
             destination=destination,
-            paths=paths,
+            entries=paths,
             phase1_paths=phase1_snapshot,
         )
 
@@ -409,9 +452,9 @@ class RouteComputer:
 
         Only the link's users (``_users_of``: the nodes whose base path
         crosses it) are re-routed; every other node keeps its base route.
-        The table starts as a copy of ``base.paths`` without the users,
-        and the three phases re-run over the users alone, each seeded from
-        the final routes of their neighbours:
+        The table stores nothing but the users' new entries over a
+        reference to ``base``, and the three phases re-run over the users
+        alone, each seeded from the final routes of their neighbours:
 
         1. a user that held a customer route takes the best one its
            customers still offer — unaffected holders seed a Dijkstra over
@@ -422,9 +465,9 @@ class RouteComputer:
            providers whose route is now final seed a Dijkstra over the
            remaining users.
 
-        A user no phase reaches is partitioned and stays absent, as in the
-        full computation.  The work is the users' adjacency, not the
-        topology's.
+        A user no phase reaches is partitioned: its entry is ``None``, and
+        the table has no path from it, as in the full computation.  The
+        work and the memory are the users' adjacency, not the topology's.
 
         Keeping non-users fixed is exact unless a user loses its customer
         or peer route and falls back to a *shorter* route of a lower
@@ -438,20 +481,24 @@ class RouteComputer:
         self.stats.tables_computed += 1
         self.stats.tables_incremental += 1
         users = self._users_of(destination, salt, base).get(link, ())
-        paths = dict(base.paths)
+        entries: Dict[int, Optional[ASPath]] = {}
+        table = RoutingTable(destination=destination, entries=entries, base=base)
         if not users:
-            return RoutingTable(destination=destination, paths=paths)
+            return table
         ranks = self._rank_table(salt)
         base_phase1 = base.phase1_paths or {}
-        for node in users:
-            del paths[node]
 
         # Phase 1 — customer routes.  A non-user's customer route is final.
         affected1 = {node for node in users if node in base_phase1}
         phase1 = _best_routes(
-            affected1, self._customers, self._providers, base_phase1, ranks, link
+            affected1,
+            self._customers,
+            self._providers,
+            base_phase1.get,
+            ranks,
+            link,
         )
-        paths.update(phase1)
+        entries.update(phase1)
 
         # Phase 2 — one peer hop from a node that holds a customer route.
         for node in users:
@@ -468,19 +515,20 @@ class RouteComputer:
                 if best is None or _better(holder_path, best, row):
                     best = holder_path
             if best is not None:
-                paths[node] = (node,) + best
+                entries[node] = (node,) + best
 
         # Phase 3 — provider routes, offered by any node whose route is
         # final (every node outside the rest, and the destination itself).
-        rest = {node for node in users if node not in paths}
-        paths[destination] = (destination,)
-        paths.update(
+        rest = {node for node in users if node not in entries}
+        entries.update(
             _best_routes(
-                rest, self._providers, self._customers, paths, ranks, link
+                rest, self._providers, self._customers, table.path_from,
+                ranks, link,
             )
         )
-        del paths[destination]
-        return RoutingTable(destination=destination, paths=paths)
+        for node in rest:
+            entries.setdefault(node, None)
+        return table
 
 
 def _better(candidate: ASPath, incumbent: ASPath, row: Dict[int, int]) -> bool:
@@ -499,14 +547,15 @@ def _best_routes(
     nodes: set,
     learn_from: Dict[int, Tuple[int, ...]],
     export_to: Dict[int, Tuple[int, ...]],
-    final: Dict[int, ASPath],
+    final: Callable[[int], Optional[ASPath]],
     ranks: Dict[int, Dict[int, int]],
     link: LinkKey,
 ) -> Dict[int, ASPath]:
     """Best routes for ``nodes`` within one propagation phase.
 
     A node learns routes from its ``learn_from`` neighbours: the ``final``
-    routes of neighbours outside ``nodes``, and the routes ``nodes``
+    route (a lookup, ``None`` for no route) of each neighbour outside
+    ``nodes``, and the routes ``nodes``
     settle among themselves (exported along ``export_to``), never across
     the failed ``link``.  Dijkstra on (length, tie-rank), seeded with each
     node's best final offer, reaches the fixpoint the full phase reaches.
@@ -520,7 +569,7 @@ def _best_routes(
         for neighbor in learn_from[node]:
             if neighbor in nodes:
                 continue
-            offered = final.get(neighbor)
+            offered = final(neighbor)
             if offered is None or _link_key(node, neighbor) == link:
                 continue
             if chosen is None or _better(offered, chosen, row):

@@ -245,16 +245,10 @@ class ServeDaemon:
             self._appliers[tenant.campaign] = asyncio.ensure_future(
                 self._apply_loop(tenant, queue)
             )
-            loop = asyncio.get_running_loop()
             depth_gauge = self.registry.gauge(
                 "repro_serve_queue_depth", {"tenant": tenant.campaign}
             )
             queue._depth_gauge = depth_gauge  # type: ignore[attr-defined]
-            tenant.on_event = (
-                lambda t, loop=loop: loop.call_soon_threadsafe(
-                    self._wake_subscribers, t
-                )
-            )
         return queue
 
     def _wake_subscribers(self, tenant: Tenant) -> None:
@@ -287,6 +281,9 @@ class ServeDaemon:
                     continue
                 finally:
                     self._apply_seconds.observe(clock() - started)
+                    # Once per applied frame, on the loop: the frame's
+                    # events are all captured by now.
+                    self._wake_subscribers(tenant)
                 await connection.push_events(tenant)
                 if kind == "result":
                     await connection.send_frame(("result", value))

@@ -30,7 +30,7 @@ import secrets
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.api import wire
 from repro.api.checkpoint import CHECKPOINT_FORMAT
@@ -134,8 +134,6 @@ class Tenant:
         # (event sequence, wire tuple) — replay source for subscribers.
         self.events: deque = deque(maxlen=policy.event_buffer)
         self.last_event_seq = 0
-        # The server installs a loop-threadsafe wakeup for subscribers.
-        self.on_event: Optional[Callable[["Tenant"], None]] = None
         # One thread: the session is single-threaded by construction.
         self.executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"tenant-{campaign}"
@@ -184,9 +182,6 @@ class Tenant:
             self.last_event_seq = event.sequence
         if self._gauges is not None:
             self._gauges["events"].set(len(self.events))
-        hook = self.on_event
-        if hook is not None:
-            hook(self)
 
     def events_after(self, sequence: int) -> List[Tuple]:
         """Buffered event tuples with sequence strictly above

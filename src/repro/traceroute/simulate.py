@@ -16,9 +16,10 @@ paper's discard rule (4), "more than one AS-level path".
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from math import log
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.netsim.path import RouterPath
 from repro.util.rng import DeterministicRNG
@@ -37,28 +38,142 @@ class TracerouteParams:
 
 
 # One line of traceroute output: ``(index, address, rtt)``, with ``address``
-# and ``rtt`` both ``None`` for a non-responsive hop ("*").  An exact tuple
-# of ints, floats and ``None``: the garbage collector untracks it, and then
-# the run's ``hops`` tuple, within the first collections they survive, so
-# the ~400k hops of a paper-shaped campaign stay out of full collections.
+# and ``rtt`` both ``None`` for a non-responsive hop ("*").  Runs are not
+# stored this way: :attr:`Traceroute.hops` builds these lines on demand
+# from the run's two columns.
 TracerouteHop = Tuple[int, Optional[int], Optional[float]]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Traceroute:
-    """One traceroute run."""
+    """One traceroute run, kept as two columns.
 
-    hops: Tuple[TracerouteHop, ...]
+    ``addresses[i]`` is the address hop ``i`` answered from, or ``None``
+    when it stayed silent; ``rtts[i]`` is its round-trip time, with
+    ``0.0`` in a silent hop's place.  A paper-shaped campaign records
+    ~43k runs, and a per-hop record would make ~400k objects of them.
+    Here a run is itself and its rtt array, plus an address tuple only
+    when a hop stayed silent or the run was truncated: a complete run
+    shares its router path's tuple (exact, of ints, so a collection
+    untracks it).
+
+    ``Traceroute(hops, destination_reached, error)`` takes the per-hop
+    form; the indices must be ``0..n-1``, and a hop has an address and an
+    rtt or neither.
+    """
+
+    addresses: Tuple[Optional[int], ...]
+    rtts: "array[float]"
     destination_reached: bool
-    error: bool = False
+    error: bool
+
+    def __init__(
+        self,
+        hops: Sequence[TracerouteHop],
+        destination_reached: bool,
+        error: bool = False,
+    ) -> None:
+        addresses: List[Optional[int]] = []
+        rtts = array("d")
+        for position, (index, address, rtt) in enumerate(hops):
+            if index != position:
+                raise ValueError(f"hop {position} carries index {index}")
+            if (address is None) != (rtt is None):
+                raise ValueError(
+                    f"hop {index} has only one of address and rtt"
+                )
+            addresses.append(address)
+            rtts.append(0.0 if rtt is None else rtt)
+        _fill(self, tuple(addresses), rtts, destination_reached, error)
+
+    def __reduce__(self):
+        return (
+            _traceroute,
+            (self.addresses, self.rtts, self.destination_reached, self.error),
+        )
+
+    def __hash__(self) -> int:
+        return hash(
+            (
+                self.addresses,
+                self.rtts.tobytes(),
+                self.destination_reached,
+                self.error,
+            )
+        )
+
+    @property
+    def hops(self) -> Tuple[TracerouteHop, ...]:
+        """The run as ``(index, address, rtt)`` lines, built per access."""
+        return tuple(
+            (index, address, None if address is None else rtt)
+            for index, (address, rtt) in enumerate(
+                zip(self.addresses, self.rtts)
+            )
+        )
 
     @property
     def responsive_addresses(self) -> List[int]:
         """Addresses of hops that answered, in order."""
-        return [address for _, address, _ in self.hops if address is not None]
+        return [address for address in self.addresses if address is not None]
 
     def __len__(self) -> int:
-        return len(self.hops)
+        return len(self.addresses)
+
+
+_new_traceroute = object.__new__
+_set_addresses = Traceroute.addresses.__set__
+_set_rtts = Traceroute.rtts.__set__
+_set_reached = Traceroute.destination_reached.__set__
+_set_error = Traceroute.error.__set__
+
+
+def _fill(
+    traceroute: Traceroute,
+    addresses: Tuple[Optional[int], ...],
+    rtts: "array[float]",
+    destination_reached: bool,
+    error: bool,
+) -> None:
+    _set_addresses(traceroute, addresses)
+    _set_rtts(traceroute, rtts)
+    _set_reached(traceroute, destination_reached)
+    _set_error(traceroute, error)
+
+
+def _traceroute(
+    addresses: Tuple[Optional[int], ...],
+    rtts: "array[float]",
+    destination_reached: bool,
+    error: bool = False,
+) -> Traceroute:
+    """A :class:`Traceroute` built from its columns, unchecked: the
+    simulator and unpickling build runs through it."""
+    traceroute = _new_traceroute(Traceroute)
+    _fill(traceroute, addresses, rtts, destination_reached, error)
+    return traceroute
+
+
+def _finish(
+    path_addresses: Tuple[int, ...],
+    rtts: "array[float]",
+    silent: List[int],
+    truncated: bool,
+) -> Traceroute:
+    """The run whose ``rtts`` were probed over ``path_addresses``, with the
+    hops at ``silent`` quiet.  A complete run shares the path's tuple."""
+    count = len(rtts)
+    if silent:
+        holes: List[Optional[int]] = list(path_addresses[:count])
+        for position in silent:
+            holes[position] = None
+        addresses: Tuple[Optional[int], ...] = tuple(holes)
+    elif count == len(path_addresses):
+        addresses = path_addresses
+    else:
+        addresses = path_addresses[:count]
+    reached = not truncated and count > 0 and addresses[-1] is not None
+    return _traceroute(addresses, rtts, reached)
 
 
 def simulate_traceroute(
@@ -77,7 +192,7 @@ def simulate_traceroute(
     plan; without one the plan is rebuilt per run.
     """
     if rng.chance(params.error_probability):
-        return Traceroute(hops=(), destination_reached=False, error=True)
+        return _traceroute((), array("d"), False, True)
     truncation_probability = params.truncation_probability
     nonresponse_probability = params.hop_nonresponse_probability
     if not (0.0 < truncation_probability < 1.0) or not (
@@ -86,17 +201,22 @@ def simulate_traceroute(
         # Degenerate probabilities change the draw count (chance() skips
         # the draw); take the general path to keep the stream identical.
         return _simulate_traceroute_general(router_path, rng, params)
+    rows, zeros = _trace_plan(router_path, params, plan_cache)
     return _run_traceroute_plan(
-        _trace_plan(router_path, params, plan_cache), rng, params
+        rows, zeros, router_path.addresses, rng, params
     )
+
+
+_Plan = Tuple[List[Tuple[int, float]], "array[float]"]
 
 
 def _trace_plan(
     router_path: RouterPath,
     params: TracerouteParams,
     cache: Optional[dict],
-) -> List[Tuple[int, Optional[int], float]]:
-    """(hop_index, address, base_rtt) triples for the probe loop.
+) -> _Plan:
+    """``(position, base_rtt)`` rows for the probe loop, and a zeroed rtt
+    column of the path's length that each run copies.
 
     Plans let the three runs per test unpack C-level tuples instead of
     re-reading dataclass attributes per hop.  The cache is keyed by
@@ -105,29 +225,31 @@ def _trace_plan(
     id-collision after garbage collection impossible to mistake for a
     hit.
     """
-    if cache is None:
-        rtt_step = 2 * params.per_hop_rtt
-        return [
-            (hop.hop_index, hop.address, (hop.hop_index + 1) * rtt_step)
-            for hop in router_path.hops
-        ]
     key = (id(router_path), id(params))
-    plan = cache.get(key)
-    if plan is None or plan[0] is not router_path or plan[1] is not params:
-        rtt_step = 2 * params.per_hop_rtt
-        plan = cache[key] = (
-            router_path,
-            params,
-            [
-                (hop.hop_index, hop.address, (hop.hop_index + 1) * rtt_step)
-                for hop in router_path.hops
-            ],
-        )
-    return plan[2]
+    cached = cache.get(key) if cache is not None else None
+    if (
+        cached is not None
+        and cached[0] is router_path
+        and cached[1] is params
+    ):
+        return cached[2]
+    rtt_step = 2 * params.per_hop_rtt
+    plan: _Plan = (
+        [
+            (position, (hop.hop_index + 1) * rtt_step)
+            for position, hop in enumerate(router_path.hops)
+        ],
+        array("d", bytes(8 * len(router_path.hops))),
+    )
+    if cache is not None:
+        cache[key] = (router_path, params, plan)
+    return plan
 
 
 def _run_traceroute_plan(
-    plan: List[Tuple[int, Optional[int], float]],
+    rows: List[Tuple[int, float]],
+    zeros: "array[float]",
+    path_addresses: Tuple[int, ...],
     rng: DeterministicRNG,
     params: TracerouteParams,
 ) -> Traceroute:
@@ -137,23 +259,22 @@ def _run_traceroute_plan(
     # expovariate(lambd) is -log(1 - random())/lambd; inlined with the
     # identical operation order so the value stream is bit-equal.
     jitter_rate = 2.0 / params.per_hop_rtt if params.per_hop_rtt > 0 else None
-    hops: List[TracerouteHop] = []
-    append = hops.append
+    rtts = zeros[:]  # a silent hop keeps its 0.0
+    silent: List[int] = []
     truncated = False
-    for hop_index, address, base_rtt in plan:
+    for position, base_rtt in rows:
         if uniform() < truncation_probability:
             truncated = True
+            del rtts[position:]
             break
         if uniform() < nonresponse_probability:
-            append((hop_index, None, None))
+            silent.append(position)
             continue
         if jitter_rate is not None:
-            rtt = base_rtt + -log(1.0 - uniform()) / jitter_rate
+            rtts[position] = base_rtt + -log(1.0 - uniform()) / jitter_rate
         else:
-            rtt = base_rtt
-        append((hop_index, address, rtt))
-    reached = not truncated and bool(hops) and hops[-1][1] is not None
-    return Traceroute(hops=tuple(hops), destination_reached=reached)
+            rtts[position] = base_rtt
+    return _finish(path_addresses, rtts, silent, truncated)
 
 
 def _simulate_traceroute_general(
@@ -162,20 +283,21 @@ def _simulate_traceroute_general(
     params: TracerouteParams,
 ) -> Traceroute:
     """The unspecialized per-hop loop (handles 0/1 probabilities)."""
-    hops: List[TracerouteHop] = []
+    rtts = array("d")
+    silent: List[int] = []
     truncated = False
-    for hop in router_path.hops:
+    for position, hop in enumerate(router_path.hops):
         if rng.chance(params.truncation_probability):
             truncated = True
             break
         if rng.chance(params.hop_nonresponse_probability):
-            hops.append((hop.hop_index, None, None))
+            rtts.append(0.0)
+            silent.append(position)
             continue
         rtt = (hop.hop_index + 1) * 2 * params.per_hop_rtt
         rtt += rng.exponential_jitter(params.per_hop_rtt / 2)
-        hops.append((hop.hop_index, hop.address, rtt))
-    reached = not truncated and bool(hops) and hops[-1][1] is not None
-    return Traceroute(hops=tuple(hops), destination_reached=reached)
+        rtts.append(rtt)
+    return _finish(router_path.addresses, rtts, silent, truncated)
 
 
 def simulate_traceroute_triplet(

@@ -19,6 +19,7 @@ import gc
 import hashlib
 import json
 import pickle
+from array import array
 
 import pytest
 
@@ -29,6 +30,7 @@ from repro.core.observations import Observation, build_observations
 from repro.routing.bgp import RouteComputer
 from repro.runner import JobSpec, run_job
 from repro.scenario.world import build_world
+from repro.traceroute.simulate import Traceroute
 from repro.util.profiling import StageTimer
 
 # sha256 of json.dumps(result.to_dict(), sort_keys=True) produced by the
@@ -210,11 +212,12 @@ class TestRouteComputerLru:
 class TestHeapShape:
     """The campaign's bulk records stay out of the collector's way.
 
-    Hops are exact tuples of atoms, so a collection untracks them and the
-    ``hops`` tuples holding them; observations are slotted, so none
-    carries an instance dict.  A NamedTuple hop or a dict-backed
-    observation would put hundreds of thousands of objects back in every
-    full collection of a paper-shaped run.
+    A traceroute is two columns, not a record per hop: its addresses are
+    an exact tuple of atoms, which a collection untracks, and complete
+    runs over one router path share that tuple; its RTTs are one
+    ``array('d')``.  Observations are slotted, so none carries an
+    instance dict.  Per-hop tuples or dict-backed observations would put
+    hundreds of thousands of objects back on a paper-shaped run's heap.
     """
 
     @pytest.fixture(scope="class")
@@ -227,20 +230,47 @@ class TestHeapShape:
         )
         dataset = world.run_campaign()
         observations, _ = build_observations(dataset, world.ip2as)
-        # One full collection untracks every hop; a ``hops`` tuple the
-        # pass reached before its hops is untracked by the next one.
-        gc.collect()
         gc.collect()
         return dataset, observations
 
-    def test_hops_are_untracked(self, converted):
+    def test_runs_keep_no_per_hop_objects(self, converted):
         dataset, _ = converted
-        runs = [tr for m in dataset for tr in m.traceroutes if tr.hops]
+        runs = [tr for m in dataset for tr in m.traceroutes if len(tr)]
         assert runs
         for traceroute in runs:
-            assert not gc.is_tracked(traceroute.hops)
-            for hop in traceroute.hops:
-                assert not gc.is_tracked(hop)
+            assert type(traceroute.addresses) is tuple
+            assert not gc.is_tracked(traceroute.addresses)
+            assert type(traceroute.rtts) is array
+            assert traceroute.rtts.typecode == "d"
+            assert len(traceroute.rtts) == len(traceroute.addresses)
+
+    def test_complete_runs_over_one_router_path_share_addresses(
+        self, converted
+    ):
+        dataset, _ = converted
+        shared = {}
+        for measurement in dataset:
+            for traceroute in measurement.traceroutes:
+                if traceroute.destination_reached and (
+                    None not in traceroute.addresses
+                ):
+                    shared.setdefault(traceroute.addresses, []).append(
+                        traceroute.addresses
+                    )
+        assert max(len(runs) for runs in shared.values()) > 1
+        for addresses, runs in shared.items():
+            assert all(run is runs[0] for run in runs), addresses
+
+    def test_traceroutes_survive_pickle(self, converted):
+        # The dict round trip is tests/test_iclab.py's
+        # test_roundtrip_campaign_measurements.
+        dataset, _ = converted
+        runs = [tr for m in dataset for tr in m.traceroutes]
+        assert any(None in tr.addresses for tr in runs)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clones = pickle.loads(pickle.dumps(runs, protocol))
+            assert all(type(clone) is Traceroute for clone in clones)
+            assert clones == runs
 
     def test_observations_have_no_instance_dict(self, converted):
         _, observations = converted

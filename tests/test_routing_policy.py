@@ -223,6 +223,31 @@ class TestIncrementalFailedTables:
         assert table.paths == base.paths
         assert table.paths is not base.paths
 
+    def test_failed_table_stores_only_the_link_users(self):
+        graph = generate_topology(
+            TopologyConfig(
+                seed=3,
+                country_codes=("US", "DE", "CN", "JP", "IR"),
+                num_tier1=3,
+            )
+        )
+        computer = RouteComputer(graph)
+        checked = 0
+        for dst in graph.registry.asns[:4]:
+            base = computer.routing_table(dst)
+            users = computer._users_of(dst, 0, base)
+            for link in (link.key() for link in graph.links()):
+                table = computer.routing_table(dst, down_links=[link])
+                assert table.base is base
+                assert set(table.entries) == users.get(link, set())
+                assert len(table) == len(table.paths)
+                for src in graph.registry.asns:
+                    assert table.path_from(src) == (
+                        (src,) if src == dst else table.paths.get(src)
+                    )
+                checked += bool(table.entries)
+        assert checked
+
     def test_cut_off_users_stay_absent_as_in_full_recomputation(self):
         graph = diamond_graph()
         computer = RouteComputer(graph)
@@ -238,6 +263,7 @@ class TestIncrementalFailedTables:
         assert table.paths == full.paths == {5: (5, 4)}
         for cut_off in (1, 2, 3):
             assert table.path_from(cut_off) is None
+            assert table.entries[cut_off] is None
 
     def test_every_single_link_table_counts_as_incremental(self):
         graph = diamond_graph()

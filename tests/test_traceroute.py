@@ -1,7 +1,10 @@
 """Tests for the traceroute simulator."""
 
+import pytest
+
 from repro.netsim.path import RouterHop, RouterPath
 from repro.traceroute.simulate import (
+    Traceroute,
     TracerouteParams,
     simulate_traceroute,
     simulate_traceroute_triplet,
@@ -91,9 +94,8 @@ class TestSingleRun:
 
 
 class TestHopRecords:
-    """Both per-hop loops build the same record: an exact
-    ``(index, address, rtt)`` tuple, which the garbage collector can
-    untrack (a tuple subclass never is)."""
+    """Both per-hop loops fill the same two columns, and ``hops`` reads
+    them back as exact ``(index, address, rtt)`` tuples."""
 
     def test_general_loop_emits_exact_tuples(self):
         path = make_path()
@@ -118,6 +120,40 @@ class TestHopRecords:
         silent = [hop for hop in hops if hop[1] is None]
         assert silent and all(hop[2] is None for hop in silent)
         assert len(silent) < len(hops)
+
+    def test_complete_runs_share_the_path_addresses(self):
+        path = make_path()
+        runs = [
+            simulate_traceroute(path, DeterministicRNG(i, "t"), NO_FAILURES)
+            for i in range(3)
+        ]
+        assert all(run.addresses is path.addresses for run in runs)
+
+    def test_hops_round_trip_through_the_constructor(self):
+        path = make_path(20)
+        runs = [
+            simulate_traceroute(path, DeterministicRNG(i, "t"), TracerouteParams())
+            for i in range(20)
+        ]
+        assert any(None in run.addresses for run in runs)
+        for run in runs:
+            clone = Traceroute(run.hops, run.destination_reached, run.error)
+            assert clone == run
+            assert hash(clone) == hash(run)
+
+    @pytest.mark.parametrize(
+        "hops",
+        [
+            ((1, 5, 0.1),),
+            ((0, 5, 0.1), (2, 6, 0.2)),
+            ((0, 5, 0.1), (0, 6, 0.2)),
+            ((0, 5, None),),
+            ((0, None, 0.1),),
+        ],
+    )
+    def test_constructor_rejects_malformed_hops(self, hops):
+        with pytest.raises(ValueError):
+            Traceroute(hops=hops, destination_reached=True)
 
 
 class TestTriplet:
