@@ -10,7 +10,8 @@ conspicuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.anomaly import Anomaly
@@ -21,7 +22,11 @@ _REQUIRED_ANOMALIES = Anomaly.all()
 
 @dataclass(frozen=True)
 class Measurement:
-    """One censorship test from one vantage point to one URL."""
+    """One censorship test from one vantage point to one URL.
+
+    ``anomalies`` is read-only: the platform's detectors hand every test
+    with the same outcome one shared dict.
+    """
 
     measurement_id: int
     timestamp: int
@@ -47,6 +52,14 @@ class Measurement:
                     a for a in _REQUIRED_ANOMALIES if a not in anomalies
                 ]
                 raise ValueError(f"anomaly results missing for: {missing}")
+
+    def __reduce__(self):
+        # Rebuilt through the constructor, an unpickled record stores its
+        # attributes where a constructed one does.  The default unpickler
+        # materializes an instance dict instead, and attribute reads over
+        # a dataset mixing both layouts (a campaign merged from forked
+        # shares) ran several times slower on CPython 3.11.
+        return (Measurement, _field_values(self))
 
     def detected(self, anomaly: Anomaly) -> bool:
         """Whether the given anomaly was detected in this test."""
@@ -117,6 +130,9 @@ class Measurement:
             true_as_path=tuple(truth.get("as_path", ())),
             injector_asns=frozenset(truth.get("injectors", ())),
         )
+
+
+_field_values = attrgetter(*(spec.name for spec in fields(Measurement)))
 
 
 __all__ = ["Measurement"]

@@ -15,10 +15,22 @@ reduced scale.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import partial
 from time import perf_counter
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.censorship.deployment import CensorDeployment
 from repro.iclab.dataset import Dataset
@@ -37,6 +49,7 @@ from repro.routing.churn import PathOracle
 from repro.topology.prefixes import PrefixAllocation
 from repro.traceroute.simulate import TracerouteParams, simulate_traceroute_triplet
 from repro.urls.testlist import TestUrl, UrlTestList
+from repro.util.forked import fork_is_safe, run_forked
 from repro.util.ipv4 import parse_ipv4
 from repro.util.profiling import StageTimer
 from repro.util.rng import DeterministicRNG, derive_seed
@@ -46,6 +59,15 @@ _GOOGLE_DNS = parse_ipv4("8.8.8.8")
 _RACING_WINDOW = 600  # seconds: a route change this close may race the test
 # Ground truth of every test no injector fired in: one shared empty set.
 _NO_INJECTORS: FrozenSet[int] = frozenset()
+# The fewest tests an automatically sized share holds.  On two vCPUs the
+# split pays from about 1,000 tests on (a paper-shaped campaign: 0.42-0.49
+# s serial against 0.32-0.44 s split); the floor keeps the tiny and small
+# presets, which tests, examples and sweeps run by the dozen, in one
+# process.
+MIN_TESTS_PER_SHARE = 2000
+
+# One scheduled test: the URL, the vantage point and the instant.
+_Job = Tuple[TestUrl, VantagePoint, int]
 
 
 @dataclass(frozen=True)
@@ -114,6 +136,8 @@ class ICLabPlatform:
         self._middleboxes: Dict[Tuple[int, ...], List[OnPathMiddlebox]] = {}
         self._trace_plans: Dict = {}  # probe plans, scoped to this platform
         self._next_id = 0
+        # Processes the last campaign ran on (0 before the first).
+        self.last_campaign_workers = 0
         # One Random instance reseeded per test: seeding fully resets the
         # generator state, so the draw streams are identical to fresh
         # construction at a fraction of the allocation cost.
@@ -277,38 +301,208 @@ class ICLabPlatform:
 
     # -- campaign ---------------------------------------------------------------
 
-    def run_campaign(self, progress_every: int = 0) -> Dataset:
+    def run_campaign(
+        self, progress_every: int = 0, workers: Optional[int] = None
+    ) -> Dataset:
         """Run the full campaign and return the dataset.
 
         Per (URL, day), the number of tests is Poisson-like around
         ``tests_per_url_per_day`` and vantage points are sampled without
         replacement; test instants are uniform within the day.
+
+        The campaign can run on several processes with the same bytes as
+        a serial run.  The scheduler RNG draws the whole schedule first,
+        and every test reseeds its own RNG, so a test's outcome does not
+        depend on what ran before it.  The tests are split by destination
+        AS into shares balanced by test count, which keeps each share's
+        routing tables, churn schedules, router paths and trace plans to
+        itself.  The parent forks one child per share but its own, runs
+        the lightest share, then merges the children's measurements in
+        schedule order and numbers them from where the last campaign
+        stopped.  Forking keeps a world customized after
+        :func:`~repro.scenario.world.build_world` identical in the
+        children.  Stage timers and routing counters fold the children's
+        work in; ``progress_every`` lines print after the merge.
+
+        ``workers`` is the number of processes.  ``None`` picks the usable
+        CPUs, capped so that every share holds at least
+        ``MIN_TESTS_PER_SHARE`` tests; any count is capped at the number
+        of destinations.  The run stays serial, whatever ``workers`` says,
+        when ``os.fork`` is missing, another thread is alive, a listener
+        is attached (it sees each measurement as it is made), or this is
+        a :mod:`multiprocessing` child (a worker pool already fills the
+        CPUs).  An exception in a child re-raises here, chained to the
+        child's traceback text; if the parent's own share fails, every
+        child is killed and reaped before the exception leaves (see
+        :func:`repro.util.forked.run_forked`).
         """
+        if workers is not None and workers < 1:
+            raise ValueError("workers must be at least 1")
+        days: Iterable[List[_Job]] = self._days()
+        if workers != 1 and not self._listeners and fork_is_safe():
+            days = list(days)
+            jobs = [job for day in days for job in day]
+            shares = self._shares(jobs, workers)
+            if len(shares) > 1:
+                return self._run_split(
+                    jobs, [len(day) for day in days], shares, progress_every
+                )
+        self.last_campaign_workers = 1
         dataset = Dataset()
-        timer = self.timer
+        num_days = len(range(self.config.start, self.config.end, DAY))
+        for day_index, day in enumerate(days):
+            for test_url, vantage, timestamp in day:
+                measurement = self._timed_test(vantage, test_url, timestamp)
+                if measurement is not None:
+                    dataset.add(measurement)
+                    for listener in self._listeners:
+                        listener(measurement)
+            self._progress(progress_every, day_index, num_days, len(dataset))
+        return dataset
+
+    def _days(self) -> Iterator[List[_Job]]:
+        """Each day's tests in schedule order."""
         scheduler_rng = DeterministicRNG(self.config.seed, "scheduler")
-        day_starts = range(self.config.start, self.config.end, DAY)
-        for day_index, day_start in enumerate(day_starts):
-            for test_url in self.test_list:
+        for day_start in range(self.config.start, self.config.end, DAY):
+            yield [
+                (test_url, vantage, timestamp)
+                for test_url in self.test_list
                 for vantage, timestamp in self._day_schedule(
                     scheduler_rng, test_url, day_start
-                ):
-                    if timer is not None:
-                        started = perf_counter()
-                        measurement = self.run_test(vantage, test_url, timestamp)
-                        timer.add("campaign.tests", perf_counter() - started)
-                    else:
-                        measurement = self.run_test(vantage, test_url, timestamp)
-                    if measurement is not None:
-                        dataset.add(measurement)
-                        for listener in self._listeners:
-                            listener(measurement)
-            if progress_every and (day_index + 1) % progress_every == 0:
-                print(
-                    f"[iclab] day {day_index + 1}/{len(day_starts)}: "
-                    f"{len(dataset)} measurements"
                 )
+            ]
+
+    def _timed_test(
+        self, vantage: VantagePoint, test_url: TestUrl, timestamp: int
+    ) -> Optional[Measurement]:
+        timer = self.timer
+        if timer is None:
+            return self.run_test(vantage, test_url, timestamp)
+        started = perf_counter()
+        measurement = self.run_test(vantage, test_url, timestamp)
+        timer.add("campaign.tests", perf_counter() - started)
+        return measurement
+
+    @staticmethod
+    def _progress(
+        progress_every: int, day_index: int, num_days: int, measurements: int
+    ) -> None:
+        if progress_every and (day_index + 1) % progress_every == 0:
+            print(
+                f"[iclab] day {day_index + 1}/{num_days}: "
+                f"{measurements} measurements"
+            )
+
+    # -- the forked split ---------------------------------------------------------
+
+    @staticmethod
+    def _shares(jobs: List[_Job], workers: Optional[int]) -> List[List[int]]:
+        """Job indices per process, split by destination AS and balanced
+        by test count; the lightest share first."""
+        load: Dict[int, int] = {}
+        for test_url, _, _ in jobs:
+            load[test_url.dest_asn] = load.get(test_url.dest_asn, 0) + 1
+        if workers is None:
+            workers = min(_usable_cpus(), len(jobs) // MIN_TESTS_PER_SHARE)
+        count = max(1, min(workers, len(load)))
+        totals = [0] * count
+        share_of: Dict[int, int] = {}
+        by_load = sorted(load.items(), key=lambda item: (-item[1], item[0]))
+        for dest_asn, tests in by_load:
+            lightest = totals.index(min(totals))
+            share_of[dest_asn] = lightest
+            totals[lightest] += tests
+        shares: List[List[int]] = [[] for _ in range(count)]
+        for index, (test_url, _, _) in enumerate(jobs):
+            shares[share_of[test_url.dest_asn]].append(index)
+        return sorted(shares, key=len)
+
+    def _run_split(
+        self,
+        jobs: List[_Job],
+        day_sizes: List[int],
+        shares: List[List[int]],
+        progress_every: int,
+    ) -> Dataset:
+        first_id = self._next_id
+        own, *replies = run_forked(
+            [partial(self._run_share, jobs, shares[0])]
+            + [partial(self._child_share, jobs, share) for share in shares[1:]]
+        )
+        slots: List[Optional[Measurement]] = [None] * len(jobs)
+        for indices, measurements in [own, *map(self._fold_child, replies)]:
+            for index, measurement in zip(indices, measurements):
+                slots[index] = measurement
+        self._next_id = first_id
+        dataset = Dataset()
+        position = 0
+        for day_index, size in enumerate(day_sizes):
+            for measurement in slots[position : position + size]:
+                if measurement is not None:
+                    # The platform made this record moments ago and shares
+                    # it with no one yet: number it in schedule order.
+                    object.__setattr__(
+                        measurement, "measurement_id", self._next_id
+                    )
+                    self._next_id += 1
+                    dataset.add(measurement)
+            position += size
+            self._progress(
+                progress_every, day_index, len(day_sizes), len(dataset)
+            )
+        self.last_campaign_workers = len(shares)
         return dataset
+
+    def _run_share(
+        self, jobs: List[_Job], share: List[int]
+    ) -> Tuple[List[int], List[Measurement]]:
+        """Run one share's tests: the indices that made a measurement,
+        and the measurements."""
+        indices: List[int] = []
+        measurements: List[Measurement] = []
+        for index in share:
+            test_url, vantage, timestamp = jobs[index]
+            measurement = self._timed_test(vantage, test_url, timestamp)
+            if measurement is not None:
+                indices.append(index)
+                measurements.append(measurement)
+        return indices, measurements
+
+    def _timers(self) -> List[StageTimer]:
+        """The distinct timers of the platform and its oracle."""
+        timers: Dict[int, StageTimer] = {}
+        for owner in (self, self.oracle):
+            timer = getattr(owner, "timer", None)
+            if timer is not None:
+                timers.setdefault(id(timer), timer)
+        return list(timers.values())
+
+    def _child_share(self, jobs: List[_Job], share: List[int]) -> tuple:
+        """In a forked child: run ``share`` with fresh timers and return
+        what the parent folds in, its results, timer snapshots and
+        routing counter deltas."""
+        originals = self._timers()
+        fresh = {id(timer): StageTimer() for timer in originals}
+        for owner in (self, self.oracle):
+            timer = getattr(owner, "timer", None)
+            if timer is not None:
+                owner.timer = fresh[id(timer)]
+        stats = self.oracle.routes.stats
+        before = stats.as_dict()
+        results = self._run_share(jobs, share)
+        routes = {
+            name: value - before[name] for name, value in stats.as_dict().items()
+        }
+        snapshots = [fresh[id(timer)].snapshot() for timer in originals]
+        return results, snapshots, routes
+
+    def _fold_child(self, reply: tuple) -> Tuple[List[int], List[Measurement]]:
+        """Fold a child's timers and counters in; its results."""
+        results, snapshots, routes = reply
+        for timer, snapshot in zip(self._timers(), snapshots):
+            timer.merge(snapshot)
+        self.oracle.routes.stats.merge(routes)
+        return results
 
     def _day_schedule(
         self, rng: DeterministicRNG, test_url, day_start: int
@@ -347,4 +541,11 @@ class ICLabPlatform:
         return count
 
 
-__all__ = ["ICLabPlatform", "PlatformConfig"]
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
+__all__ = ["ICLabPlatform", "MIN_TESTS_PER_SHARE", "PlatformConfig"]

@@ -143,6 +143,11 @@ class RouteComputerStats:
             "cache_evictions": self.cache_evictions,
         }
 
+    def merge(self, counts: Dict[str, int]) -> None:
+        """Add another computer's :meth:`as_dict` counts to these."""
+        for name, value in counts.items():
+            setattr(self, name, getattr(self, name) + value)
+
 
 class RouteComputer:
     """Computes and caches routing tables over a fixed AS graph.

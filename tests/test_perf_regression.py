@@ -15,6 +15,7 @@ path) must be *invisible* in results and *pinned* in behaviour:
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import hashlib
 import json
@@ -27,6 +28,7 @@ from repro.core.pipeline import PipelineConfig
 from repro.core.problem import ProblemSolveCache, TomographyProblem
 from repro.core.splitting import split_observations
 from repro.core.observations import Observation, build_observations
+from repro.iclab.measurement import Measurement
 from repro.routing.bgp import RouteComputer
 from repro.runner import JobSpec, run_job
 from repro.scenario.world import build_world
@@ -271,6 +273,21 @@ class TestHeapShape:
             clones = pickle.loads(pickle.dumps(runs, protocol))
             assert all(type(clone) is Traceroute for clone in clones)
             assert clones == runs
+
+    def test_measurements_unpickle_through_the_constructor(self, converted):
+        # The constructor's check runs on load, so the clone stores its
+        # attributes as a constructed record does.
+        dataset, _ = converted
+        measurements = list(dataset)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clones = pickle.loads(pickle.dumps(measurements, protocol))
+            assert all(type(clone) is Measurement for clone in clones)
+            assert clones == measurements
+        unchecked = dataclasses.replace(measurements[0])
+        object.__setattr__(unchecked, "anomalies", {})
+        blob = pickle.dumps(unchecked)
+        with pytest.raises(ValueError, match="anomaly results missing"):
+            pickle.loads(blob)
 
     def test_observations_have_no_instance_dict(self, converted):
         _, observations = converted
