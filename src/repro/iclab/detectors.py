@@ -140,37 +140,24 @@ def detect_blockpage(
     return similarity < config.blockpage_length_ratio and delivered.status != baseline.status
 
 
-# The detectors' result keys, in the order results are reported.
-_DETECTED = (Anomaly.DNS, Anomaly.TTL, Anomaly.SEQ, Anomaly.RST, Anomaly.BLOCK)
-# One shared result dict per outcome: a campaign holds one per test, but
-# five booleans take only 32 values.
-_RESULTS: Dict[Tuple[bool, ...], Dict[Anomaly, bool]] = {}
-
-
 def run_detectors(
     dns_result: Optional[DnsSessionResult],
     http_result: HttpSessionResult,
     baseline: HttpResponse,
     config: DetectorConfig = DetectorConfig(),
 ) -> Dict[Anomaly, bool]:
-    """Run all five detectors over one test's captures.
-
-    The returned dict is shared by every test with the same outcome and
-    must not be mutated.
-    """
-    outcome = (
-        detect_dns_anomaly(dns_result.capture, config)
-        if dns_result is not None
-        else False,
-        detect_ttl_anomaly(http_result.capture, config),
-        detect_seq_anomaly(http_result.capture),
-        detect_rst_anomaly(http_result.capture),
-        detect_blockpage(http_result.delivered_page, baseline, config),
-    )
-    results = _RESULTS.get(outcome)
-    if results is None:
-        results = _RESULTS[outcome] = dict(zip(_DETECTED, outcome))
-    return results
+    """Run all five detectors over one test's captures."""
+    return {
+        Anomaly.DNS: (
+            detect_dns_anomaly(dns_result.capture, config)
+            if dns_result is not None
+            else False
+        ),
+        Anomaly.TTL: detect_ttl_anomaly(http_result.capture, config),
+        Anomaly.SEQ: detect_seq_anomaly(http_result.capture),
+        Anomaly.RST: detect_rst_anomaly(http_result.capture),
+        Anomaly.BLOCK: detect_blockpage(http_result.delivered_page, baseline, config),
+    }
 
 
 __all__ = [

@@ -24,8 +24,8 @@ _REQUIRED_ANOMALIES = Anomaly.all()
 class Measurement:
     """One censorship test from one vantage point to one URL.
 
-    ``anomalies`` is read-only: the platform's detectors hand every test
-    with the same outcome one shared dict.
+    ``anomalies`` is read-only: the platform hands every test with the
+    same detector outcome one shared dict.
     """
 
     measurement_id: int

@@ -32,6 +32,7 @@ from typing import (
     Tuple,
 )
 
+from repro.anomaly import Anomaly
 from repro.censorship.deployment import CensorDeployment
 from repro.iclab.dataset import Dataset
 from repro.iclab.detectors import DetectorConfig, run_detectors
@@ -59,12 +60,14 @@ _GOOGLE_DNS = parse_ipv4("8.8.8.8")
 _RACING_WINDOW = 600  # seconds: a route change this close may race the test
 # Ground truth of every test no injector fired in: one shared empty set.
 _NO_INJECTORS: FrozenSet[int] = frozenset()
-# The fewest tests an automatically sized share holds.  On two vCPUs the
-# split pays from about 1,000 tests on (a paper-shaped campaign: 0.42-0.49
-# s serial against 0.32-0.44 s split); the floor keeps the tiny and small
-# presets, which tests, examples and sweeps run by the dozen, in one
-# process.
-MIN_TESTS_PER_SHARE = 2000
+# The fewest tests a share holds.  On two vCPUs the split paid at every
+# campaign size measured, down to 992 paper-shaped tests (0.42-0.49 s
+# serial against 0.32-0.44 s split), so this is not a break-even.  It keeps
+# the tiny (109 tests) and small (1,778) presets, which tests and examples
+# run in-process, off the fork path, and splits every campaign from 2,000
+# tests on.  The tier-1 suite's wall time did not move beyond its
+# run-to-run spread with the floor at 500, 1,000 or 2,000.
+MIN_TESTS_PER_SHARE = 1000
 
 # One scheduled test: the URL, the vantage point and the instant.
 _Job = Tuple[TestUrl, VantagePoint, int]
@@ -136,8 +139,9 @@ class ICLabPlatform:
         self._middleboxes: Dict[Tuple[int, ...], List[OnPathMiddlebox]] = {}
         self._trace_plans: Dict = {}  # probe plans, scoped to this platform
         self._next_id = 0
-        # Processes the last campaign ran on (0 before the first).
-        self.last_campaign_workers = 0
+        # One shared detector-result dict per outcome: a campaign keeps one
+        # per test, but five booleans take only 32 values.
+        self._anomaly_results: Dict[Tuple[bool, ...], Dict[Anomaly, bool]] = {}
         # One Random instance reseeded per test: seeding fully resets the
         # generator state, so the draw streams are identical to fresh
         # construction at a fraction of the allocation cost.
@@ -248,8 +252,11 @@ class ICLabPlatform:
             timestamp=timestamp,
             params=self.config.session,
         )
-        anomalies = run_detectors(
+        detected = run_detectors(
             dns_result, http_result, baseline, self.config.detector
+        )
+        anomalies = self._anomaly_results.setdefault(
+            tuple(detected.values()), detected
         )
 
         racing_router_path = self._racing_path(vantage.asn, test_url.dest_asn, timestamp)
@@ -301,9 +308,7 @@ class ICLabPlatform:
 
     # -- campaign ---------------------------------------------------------------
 
-    def run_campaign(
-        self, progress_every: int = 0, workers: Optional[int] = None
-    ) -> Dataset:
+    def run_campaign(self, progress_every: int = 0) -> Dataset:
         """Run the full campaign and return the dataset.
 
         Per (URL, day), the number of tests is Poisson-like around
@@ -324,30 +329,26 @@ class ICLabPlatform:
         children.  Stage timers and routing counters fold the children's
         work in; ``progress_every`` lines print after the merge.
 
-        ``workers`` is the number of processes.  ``None`` picks the usable
-        CPUs, capped so that every share holds at least
-        ``MIN_TESTS_PER_SHARE`` tests; any count is capped at the number
-        of destinations.  The run stays serial, whatever ``workers`` says,
-        when ``os.fork`` is missing, another thread is alive, a listener
-        is attached (it sees each measurement as it is made), or this is
-        a :mod:`multiprocessing` child (a worker pool already fills the
-        CPUs).  An exception in a child re-raises here, chained to the
-        child's traceback text; if the parent's own share fails, every
-        child is killed and reaped before the exception leaves (see
+        One process runs per usable CPU, capped so that every share holds
+        at least ``MIN_TESTS_PER_SHARE`` tests and at the number of
+        destinations.  The run stays serial when ``os.fork`` is missing,
+        another thread is alive, a listener is attached (it sees each
+        measurement as it is made), or this is a :mod:`multiprocessing`
+        child (a worker pool already fills the CPUs).  An exception in a
+        child re-raises here, chained to the child's traceback text; if
+        the parent's own share fails, every child is killed and reaped
+        before the exception leaves (see
         :func:`repro.util.forked.run_forked`).
         """
-        if workers is not None and workers < 1:
-            raise ValueError("workers must be at least 1")
         days: Iterable[List[_Job]] = self._days()
-        if workers != 1 and not self._listeners and fork_is_safe():
+        if not self._listeners and fork_is_safe():
             days = list(days)
             jobs = [job for day in days for job in day]
-            shares = self._shares(jobs, workers)
+            shares = self._shares(jobs)
             if len(shares) > 1:
                 return self._run_split(
                     jobs, [len(day) for day in days], shares, progress_every
                 )
-        self.last_campaign_workers = 1
         dataset = Dataset()
         num_days = len(range(self.config.start, self.config.end, DAY))
         for day_index, day in enumerate(days):
@@ -396,15 +397,15 @@ class ICLabPlatform:
     # -- the forked split ---------------------------------------------------------
 
     @staticmethod
-    def _shares(jobs: List[_Job], workers: Optional[int]) -> List[List[int]]:
+    def _shares(jobs: List[_Job]) -> List[List[int]]:
         """Job indices per process, split by destination AS and balanced
         by test count; the lightest share first."""
         load: Dict[int, int] = {}
         for test_url, _, _ in jobs:
             load[test_url.dest_asn] = load.get(test_url.dest_asn, 0) + 1
-        if workers is None:
-            workers = min(_usable_cpus(), len(jobs) // MIN_TESTS_PER_SHARE)
-        count = max(1, min(workers, len(load)))
+        count = max(
+            1, min(_usable_cpus(), len(jobs) // MIN_TESTS_PER_SHARE, len(load))
+        )
         totals = [0] * count
         share_of: Dict[int, int] = {}
         by_load = sorted(load.items(), key=lambda item: (-item[1], item[0]))
@@ -450,7 +451,6 @@ class ICLabPlatform:
             self._progress(
                 progress_every, day_index, len(day_sizes), len(dataset)
             )
-        self.last_campaign_workers = len(shares)
         return dataset
 
     def _run_share(

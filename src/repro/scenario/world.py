@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.censorship.deployment import (
     CensorDeployment,
@@ -43,22 +43,15 @@ class World:
         """Country code of every AS."""
         return {a.asn: a.country.code for a in self.graph.registry}
 
-    def run_campaign(
-        self, progress_every: int = 0, workers: Optional[int] = None
-    ) -> Dataset:
+    def run_campaign(self, progress_every: int = 0) -> Dataset:
         """Run the full measurement campaign.
 
-        The campaign splits its tests by destination AS over ``workers``
-        forked processes and merges them into the serial run's bytes.
-        ``None`` uses the usable CPUs while every share keeps at least
-        ``MIN_TESTS_PER_SHARE`` tests, so small campaigns stay serial.
-        So does any campaign with a listener attached, in a process with
-        another thread alive or in a ``multiprocessing`` child, or without
-        ``os.fork``.  See :meth:`ICLabPlatform.run_campaign`.
+        A campaign large enough, in a process free to fork, splits its
+        tests by destination AS over one forked process per usable CPU
+        and merges them into the serial run's bytes; small campaigns stay
+        serial.  See :meth:`ICLabPlatform.run_campaign`.
         """
-        return self.platform.run_campaign(
-            progress_every=progress_every, workers=workers
-        )
+        return self.platform.run_campaign(progress_every=progress_every)
 
     def pipeline(
         self, config: PipelineConfig = PipelineConfig()

@@ -199,6 +199,18 @@ class TestRunDetectors:
         assert set(results) == set(Anomaly.all())
         assert not any(results.values())
 
+    def test_returns_a_fresh_dict(self):
+        # The platform shares one dict per outcome among its records; a
+        # caller changing its own result must not reach them.
+        http = HttpSessionResult(
+            capture=PacketCapture(), delivered_page=None, completed=False
+        )
+        first = run_detectors(None, http, HttpResponse(200, "x"))
+        first[Anomaly.RST] = True
+        again = run_detectors(None, http, HttpResponse(200, "x"))
+        assert again is not first
+        assert not any(again.values())
+
     def test_dns_result_consumed(self):
         capture = PacketCapture()
         capture.add_dns(dns_response(0.1))

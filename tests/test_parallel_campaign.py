@@ -1,6 +1,6 @@
-"""The campaign split over forked processes (``run_campaign(workers=...)``).
+"""The campaign split over forked processes (``ICLabPlatform.run_campaign``).
 
-- every worker count reproduces the serial campaign's bytes, and a second
+- every process count reproduces the serial campaign's bytes, and a second
   campaign numbers its measurements where the first stopped;
 - stage timers, routing counters and progress lines count every share;
 - a listener, a live thread, a ``multiprocessing`` parent, a missing
@@ -9,7 +9,9 @@
   traceback text, and no child outlives the campaign.
 
 Every forking check runs in a fresh interpreter: a thread another test
-left running would force the serial path.
+left running would force the serial path.  There the prelude patches the
+usable CPU count and the share floor to pick the process count, and
+counts the processes of every split through ``run_forked``.
 """
 
 from __future__ import annotations
@@ -34,8 +36,30 @@ SRC = os.path.join(
 
 PRELUDE = """
 import hashlib, json, os
+import repro.iclab.platform as platform_module
 from repro.runner import JobSpec
 from repro.scenario.world import build_world
+
+forks = []  # the process count of every split campaign
+_run_forked = platform_module.run_forked
+
+def counted_run_forked(tasks):
+    forks.append(len(tasks))
+    return _run_forked(tasks)
+
+platform_module.run_forked = counted_run_forked
+
+def cpus(count, min_tests=1):
+    # Size splits as if ``count`` CPUs were usable, down to
+    # ``min_tests`` tests a share.
+    platform_module._usable_cpus = lambda: count
+    platform_module.MIN_TESTS_PER_SHARE = min_tests
+
+def campaign(w, **kwargs):
+    # The dataset and the number of processes it ran on.
+    before = len(forks)
+    dataset = w.run_campaign(**kwargs)
+    return dataset, forks[-1] if len(forks) > before else 1
 
 def world(preset="tiny"):
     return build_world(JobSpec(preset=preset, seed=0).scenario_config())
@@ -74,14 +98,14 @@ def run_fresh(body: str) -> dict:
 
 class TestSameBytes:
     @pytest.mark.parametrize("preset", ["tiny", "small"])
-    def test_every_worker_count_matches_the_golden_campaign(self, preset):
+    def test_every_process_count_matches_the_golden_campaign(self, preset):
         out = run_fresh(
             f"""
             runs = []
-            for workers in (1, 2, 3):
-                w = world({preset!r})
-                dataset = w.run_campaign(workers=workers)
-                runs.append((w.platform.last_campaign_workers, sha(dataset)))
+            for count in (1, 2, 3):
+                cpus(count)
+                dataset, processes = campaign(world({preset!r}))
+                runs.append((processes, sha(dataset)))
             emit(runs=runs, no_children=no_children())
             """
         )
@@ -91,12 +115,13 @@ class TestSameBytes:
     def test_second_campaign_continues_the_ids(self):
         out = run_fresh(
             """
-            def twice(workers):
+            def twice(count):
+                cpus(count)
                 w = world()
-                first = w.run_campaign(workers=workers)
-                second = w.run_campaign(workers=workers)
+                first, _ = campaign(w)
+                second, processes = campaign(w)
                 return [len(first), second[0].measurement_id, sha(second),
-                        w.platform.last_campaign_workers]
+                        processes]
             emit(serial=twice(1), split=twice(3))
             """
         )
@@ -111,24 +136,27 @@ class TestSameBytes:
             import contextlib, io
             from repro.util.profiling import StageTimer
 
-            def run(workers, shared):
+            def run(count, shared):
+                cpus(count)
                 w = world("small")
                 w.platform.timer = StageTimer()
                 w.oracle.timer = w.platform.timer if shared else StageTimer()
                 printed = io.StringIO()
                 with contextlib.redirect_stdout(printed):
-                    w.run_campaign(progress_every=2, workers=workers)
+                    _, processes = campaign(w, progress_every=2)
                 return [
                     w.platform.timer.calls("campaign.tests"),
                     w.oracle.timer.calls("routing.schedules"),
                     w.oracle.routes.stats.as_dict(),
                     printed.getvalue(),
+                    processes,
                 ]
-            emit(runs=[run(workers, shared)
-                       for shared in (True, False) for workers in (1, 3)])
+            emit(runs=[run(count, shared)
+                       for shared in (True, False) for count in (1, 3)])
             """
         )
         shared_serial, shared_split, own_serial, own_split = out["runs"]
+        assert [run.pop() for run in out["runs"]] == [1, 3, 1, 3]
         assert shared_serial[0] > 0 and shared_serial[1] > 0
         assert shared_serial[3].startswith("[iclab] day 2/")
         assert shared_split == shared_serial
@@ -139,16 +167,16 @@ class TestSerialFallbacks:
     def test_listener_sees_the_serial_sequence(self):
         out = run_fresh(
             """
+            cpus(3)
             w = world()
             seen = []
             w.platform.add_listener(seen.append)
-            dataset = w.run_campaign(workers=3)
-            emit(workers=w.platform.last_campaign_workers, seen=sha(seen),
-                 dataset=sha(dataset))
+            dataset, processes = campaign(w)
+            emit(processes=processes, seen=sha(seen), dataset=sha(dataset))
             """
         )
         assert out == {
-            "workers": 1,
+            "processes": 1,
             "seen": CAMPAIGN_SHA256["tiny"],
             "dataset": CAMPAIGN_SHA256["tiny"],
         }
@@ -169,14 +197,15 @@ class TestSerialFallbacks:
     def test_unsafe_fork_runs_serially(self, setup, teardown):
         out = run_fresh(
             f"""
+            cpus(3)
             w = world()
 {textwrap.indent(setup, " " * 12)}
-            dataset = w.run_campaign(workers=3)
+            dataset, processes = campaign(w)
 {textwrap.indent(teardown, " " * 12)}
-            emit(workers=w.platform.last_campaign_workers, sha=sha(dataset))
+            emit(processes=processes, sha=sha(dataset))
             """
         )
-        assert out == {"workers": 1, "sha": CAMPAIGN_SHA256["tiny"]}
+        assert out == {"processes": 1, "sha": CAMPAIGN_SHA256["tiny"]}
 
     def test_multiprocessing_child_runs_serially(self):
         out = run_fresh(
@@ -184,31 +213,31 @@ class TestSerialFallbacks:
             import multiprocessing
 
             def job(conn):
-                w = world()
-                dataset = w.run_campaign(workers=3)
-                conn.send([w.platform.last_campaign_workers, sha(dataset)])
+                dataset, processes = campaign(world())
+                conn.send([processes, sha(dataset)])
 
+            cpus(3)
             context = multiprocessing.get_context("fork")
             receiver, sender = context.Pipe(duplex=False)
             process = context.Process(target=job, args=(sender,))
             process.start()
-            workers, digest = receiver.recv()
+            processes, digest = receiver.recv()
             process.join(timeout=60)
             assert process.exitcode == 0, process.exitcode
-            emit(workers=workers, sha=digest)
+            emit(processes=processes, sha=digest)
             """
         )
-        assert out == {"workers": 1, "sha": CAMPAIGN_SHA256["tiny"]}
+        assert out == {"processes": 1, "sha": CAMPAIGN_SHA256["tiny"]}
 
     def test_small_campaigns_stay_serial_by_default(self):
         out = run_fresh(
             """
-            w = world("small")
-            dataset = w.run_campaign()
-            emit(workers=w.platform.last_campaign_workers, sha=sha(dataset))
+            cpus(8, platform_module.MIN_TESTS_PER_SHARE)
+            dataset, processes = campaign(world("small"))
+            emit(processes=processes, sha=sha(dataset))
             """
         )
-        assert out == {"workers": 1, "sha": CAMPAIGN_SHA256["small"]}
+        assert out == {"processes": 1, "sha": CAMPAIGN_SHA256["small"]}
 
 
 class TestFailures:
@@ -246,8 +275,9 @@ class TestFailures:
 
             original = ICLabPlatform.run_test
             ICLabPlatform.run_test = failing_run_test
+            cpus(3)
             try:
-                world().run_campaign(workers=3)
+                world().run_campaign()
             except Exception as exc:
                 cause = exc.__cause__
                 emit(type=type(exc).__name__, cause=str(cause) if cause else "",
@@ -273,17 +303,25 @@ class TestShares:
             for index in range(count)
         ]
 
-    def test_split_by_destination_balanced_lightest_first(self):
+    @staticmethod
+    def shares(monkeypatch, jobs, cpus, min_tests=1):
+        monkeypatch.setattr(platform_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(platform_module, "MIN_TESTS_PER_SHARE", min_tests)
+        return ICLabPlatform._shares(jobs)
+
+    def test_split_by_destination_balanced_lightest_first(self, monkeypatch):
         jobs = self.jobs({10: 5, 11: 4, 12: 3, 13: 3, 14: 1})
-        shares = ICLabPlatform._shares(jobs, 2)
+        shares = self.shares(monkeypatch, jobs, 2)
         assert [len(share) for share in shares] == [8, 8]
         assert sorted(i for share in shares for i in share) == list(range(16))
         dests = [{jobs[i][0].dest_asn for i in share} for share in shares]
         assert not dests[0] & dests[1]
-        assert [len(share) for share in ICLabPlatform._shares(jobs, 3)] == [5, 5, 6]
+        three = self.shares(monkeypatch, jobs, 3)
+        assert [len(share) for share in three] == [5, 5, 6]
 
-    def test_never_more_shares_than_destinations(self):
-        assert len(ICLabPlatform._shares(self.jobs({1: 3, 2: 3}), 8)) == 2
+    def test_never_more_shares_than_destinations(self, monkeypatch):
+        jobs = self.jobs({1: 3, 2: 3})
+        assert len(self.shares(monkeypatch, jobs, 8)) == 2
 
     @pytest.mark.parametrize(
         "tests, cpus, expected",
@@ -299,4 +337,4 @@ class TestShares:
     def test_automatic_count(self, monkeypatch, tests, cpus, expected):
         monkeypatch.setattr(platform_module, "_usable_cpus", lambda: cpus)
         loads = {dest: tests // 8 + (dest < tests % 8) for dest in range(8)}
-        assert len(ICLabPlatform._shares(self.jobs(loads), None)) == expected
+        assert len(ICLabPlatform._shares(self.jobs(loads))) == expected

@@ -274,6 +274,17 @@ class TestHeapShape:
             assert all(type(clone) is Traceroute for clone in clones)
             assert clones == runs
 
+    def test_measurements_share_one_anomaly_dict_per_outcome(
+        self, tiny_dataset
+    ):
+        by_outcome = {}
+        for measurement in tiny_dataset:
+            outcome = tuple(measurement.anomalies.items())
+            assert by_outcome.setdefault(outcome, measurement.anomalies) is (
+                measurement.anomalies
+            )
+        assert 1 < len(by_outcome) < len(tiny_dataset)
+
     def test_measurements_unpickle_through_the_constructor(self, converted):
         # The constructor's check runs on load, so the clone stores its
         # attributes as a constructed record does.
