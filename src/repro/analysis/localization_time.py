@@ -66,15 +66,6 @@ class TimeToLocalization:
     def identified_asns(self) -> List[int]:
         return sorted(self.first_by_asn)
 
-    def measurements_until(self, asn: int) -> Optional[int]:
-        """Measurements ingested before ``asn`` was confirmed, or None."""
-        identification = self.first_by_asn.get(asn)
-        return (
-            identification.measurements_ingested
-            if identification is not None
-            else None
-        )
-
     def median_measurements(self) -> Optional[float]:
         """Median measurements-to-confirmation over identified censors."""
         counts = sorted(

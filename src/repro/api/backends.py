@@ -1277,17 +1277,16 @@ class ShardedBackend(ExecutionBackend):
                         f"elapsed {size}s window"
                     )
         self._tracker.add(observation)
-        # Enum .value is a descriptor call — resolve it once for the
-        # shard route and hand it to the encoder.
-        anomaly_value = observation.anomaly.value
-        route = (observation.url, anomaly_value)
+        # Route on the encoded tuple's (url, anomaly value) pair.
+        payload = wire.observation_to_wire(observation)
+        route = (payload[0], payload[1])
         shard = self._shard_cache.get(route)
         if shard is None:
             shard = self._shard_cache[route] = self._placement.shard_for(
                 route[0], route[1]
             )
         buffer = self._buffers[shard]
-        buffer.append(wire.observation_to_wire(observation, anomaly_value))
+        buffer.append(payload)
         if len(buffer) >= self.chunk_size:
             self._flush(shard)
 

@@ -319,11 +319,6 @@ class LocalizationSession:
         obsrecorder.install(recorder)
         return recorder
 
-    @property
-    def flight_recorder(self) -> Optional[FlightRecorder]:
-        """The recorder from :meth:`enable_flight_recorder`, or None."""
-        return self._flight
-
     # -- one-shot workloads ------------------------------------------------
 
     def run(self, timer: Optional[StageTimer] = None) -> SessionOutcome:

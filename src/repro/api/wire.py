@@ -136,22 +136,46 @@ def decode(data: bytes) -> Tuple:
 # -- observations ------------------------------------------------------------
 
 
-def observation_to_wire(
-    observation: Observation, anomaly_value: Optional[str] = None
-) -> Tuple:
-    """One observation as a flat tuple (no keys on the wire).
+# Enum ``.value`` is a descriptor call; Anomaly hashes by identity, so a
+# dict lookup is cheaper on the per-observation encode path.
+_VALUE_OF_ANOMALY = {member: member.value for member in Anomaly}
 
-    ``anomaly_value`` lets a hot loop that already resolved the enum's
-    ``.value`` (a descriptor call) pass it in — there is exactly one
-    encoder for the layout either way."""
+
+def observation_to_wire(observation: Observation) -> Tuple:
+    """One observation as a flat tuple (no keys on the wire)."""
     return (
         observation.url,
-        anomaly_value if anomaly_value is not None
-        else observation.anomaly.value,
+        _VALUE_OF_ANOMALY[observation.anomaly],
         observation.detected,
         observation.as_path,
         observation.timestamp,
         observation.measurement_id,
+    )
+
+
+def observation_record(
+    url: str,
+    anomaly: Anomaly,
+    detected: bool,
+    as_path: Tuple[int, ...],
+    timestamp: int,
+    measurement_id: int,
+) -> Tuple:
+    """The :func:`observation_to_wire` tuple of an observation, built
+    from its fields without the :class:`Observation`.
+
+    The ``record`` a shipping-only front end hands to
+    :func:`repro.core.observations.observations_of`.  Keeps the
+    observation's non-empty path check."""
+    if not as_path:
+        raise ValueError("observation requires a non-empty AS path")
+    return (
+        url,
+        _VALUE_OF_ANOMALY[anomaly],
+        detected,
+        as_path,
+        timestamp,
+        measurement_id,
     )
 
 
@@ -507,6 +531,7 @@ __all__ = [
     "encode",
     "decode",
     "observation_to_wire",
+    "observation_record",
     "observation_from_wire",
     "key_to_wire",
     "key_from_wire",

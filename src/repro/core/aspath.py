@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.iclab.measurement import Measurement
 from repro.topology.ip2as import IpToAsDatabase
@@ -62,36 +62,31 @@ class AsPathConversion:
         return self.outcome is ConversionOutcome.OK
 
 
-def convert_traceroute(
-    traceroute: Traceroute,
-    ip2as: IpToAsDatabase,
-    timestamp: int,
-) -> Tuple[Optional[Tuple[int, ...]], Optional[InconclusiveReason]]:
-    """Convert one traceroute to an AS-level path.
+_ERROR = InconclusiveReason.TRACEROUTE_ERROR
+_UNMAPPABLE = InconclusiveReason.UNMAPPABLE
+_AMBIGUOUS = InconclusiveReason.AMBIGUOUS_GAP
+_MULTIPLE = InconclusiveReason.MULTIPLE_PATHS
 
-    Returns ``(path, None)`` on success or ``(None, reason)`` on failure.
-    The path collapses consecutive same-AS hops; a non-responsive or
-    unmappable hop between two equal ASes is bridged, between two different
-    ASes it is ambiguous (rule 3).
+# When all three runs fail: the most severe reason observed wins, in the
+# paper's rule order (errors, then unmappable, then ambiguity).
+_SEVERITY = (_ERROR, _UNMAPPABLE, _AMBIGUOUS)
+
+Converted = Tuple[Optional[Tuple[int, ...]], Optional[InconclusiveReason]]
+
+
+def _hops_to_path(
+    addresses: Tuple[Optional[int], ...], epoch_map: Dict
+) -> Converted:
+    """Rules 1 and 3 over one run's hop addresses: the part of a run's
+    conversion that depends only on its addresses and the epoch.
+
+    Collapses consecutive same-AS hops; a non-responsive or unmappable
+    hop between two equal ASes is bridged, between two different ASes it
+    is ambiguous.
     """
-    if traceroute.error:
-        return None, InconclusiveReason.TRACEROUTE_ERROR
-    resolve = ip2as.resolver_at(timestamp)
-    mapped: List[Optional[int]] = []
-    any_mapped = False
-    for address in traceroute.addresses:
-        if address is None:
-            mapped.append(None)
-            continue
-        asn = resolve(address)
-        mapped.append(asn)
-        if asn is not None:
-            any_mapped = True
-    if not any_mapped:
-        return None, InconclusiveReason.UNMAPPABLE
     path: List[int] = []
     pending_gap = False
-    for asn in mapped:
+    for asn in map(epoch_map.__getitem__, addresses):
         if asn is None:
             if path:
                 pending_gap = True
@@ -99,17 +94,93 @@ def convert_traceroute(
         if path and asn == path[-1]:
             pending_gap = False
             continue
-        if pending_gap and path:
+        if pending_gap:
             # Gap between two different ASes: AS inference not possible.
-            return None, InconclusiveReason.AMBIGUOUS_GAP
+            return None, _AMBIGUOUS
         path.append(asn)
-        pending_gap = False
+    if not path:
+        return None, _UNMAPPABLE
+    return tuple(path), None
+
+
+def convert_traceroute(
+    traceroute: Traceroute,
+    ip2as: IpToAsDatabase,
+    timestamp: int,
+) -> Converted:
+    """Convert one traceroute to an AS-level path.
+
+    Returns ``(path, None)`` on success or ``(None, reason)`` on failure.
+    The path collapses consecutive same-AS hops; a non-responsive or
+    unmappable hop between two equal ASes is bridged, between two different
+    ASes it is ambiguous (rule 3).  An errored run fails rule 2 before
+    any mapping; a run that never reached its destination fails rule 2
+    only when its addresses alone would convert.
+    """
+    if traceroute.error:
+        return None, _ERROR
+    path, reason = _hops_to_path(
+        traceroute.addresses,
+        ip2as.epoch_map(ip2as.epoch_index_at(timestamp)),
+    )
     # A trailing gap is tolerated only if the destination was still reached
     # (i.e., the last responsive hop answered); otherwise the path may be a
     # truncated prefix, which rule 2 treats as an errored traceroute.
-    if not traceroute.destination_reached:
-        return None, InconclusiveReason.TRACEROUTE_ERROR
-    return tuple(path), None
+    if path is not None and not traceroute.destination_reached:
+        return None, _ERROR
+    return path, reason
+
+
+def _convert(
+    measurement: Measurement, ip2as: IpToAsDatabase, cache: Dict
+) -> Converted:
+    """The conversion core: ``(as_path, None)`` or ``(None, reason)``.
+
+    Each run's address part (:func:`_hops_to_path`) is memoized in
+    ``cache`` by ``(epoch, addresses)`` — a nested dict, one inner dict
+    per epoch.  It is a pure function of those two, and loss-free runs
+    over popular router paths repeat them thousands of times per
+    campaign; complete runs over one router path share one ``addresses``
+    tuple, so a repeat hit compares by identity.  The run's ``error``
+    and ``destination_reached`` flags apply outside the memo, with the
+    precedence of :func:`convert_traceroute`.
+    """
+    index = ip2as.epoch_index_at(measurement.timestamp)
+    memo = cache.get(index)
+    if memo is None:
+        memo = cache[index] = {}
+    paths: List[Tuple[int, ...]] = []
+    reasons: List[InconclusiveReason] = []
+    for run in measurement.traceroutes:
+        if run.error:
+            reasons.append(_ERROR)
+            continue
+        addresses = run.addresses
+        converted = memo.get(addresses)
+        if converted is None:
+            converted = memo[addresses] = _hops_to_path(
+                addresses, ip2as.epoch_map(index)
+            )
+        path, reason = converted
+        if path is None:
+            reasons.append(reason)
+        elif run.destination_reached:
+            paths.append(path)
+        else:
+            reasons.append(_ERROR)
+    if not paths:
+        for preferred in _SEVERITY:
+            if preferred in reasons:
+                return None, preferred
+        return None, _ERROR
+    vantage = measurement.vantage_asn
+    first = paths[0]
+    anchored = _anchor(first, vantage)
+    for path in paths:
+        # Distinct raw paths can anchor to one path, so compare anchored.
+        if path is not first and _anchor(path, vantage) != anchored:
+            return None, _MULTIPLE
+    return anchored, None
 
 
 def convert_measurement(
@@ -119,72 +190,24 @@ def convert_measurement(
 ) -> AsPathConversion:
     """Convert a measurement's three traceroutes to one AS-level path.
 
-    ``cache`` (optional, supplied by batch converters) memoizes
-    per-traceroute conversions: a traceroute's outcome is a pure function
-    of its hop-address sequence, its error/reached flags, and the IP-to-AS
-    epoch in force — and loss-free runs over popular router paths repeat
-    those inputs thousands of times per campaign.  The key holds the run's
-    own ``addresses`` tuple, which complete runs over one router path
-    share, so a repeat hit compares by identity.
+    All runs that convert must agree on one path (rule 4); failed runs
+    are ignored when one converts.  ``cache`` (optional, supplied by
+    batch converters) memoizes per-run conversions across measurements
+    (see :func:`_convert`); its contents are private to this module.
     """
-    paths: List[Tuple[int, ...]] = []
-    reasons: List[InconclusiveReason] = []
-    epoch_key = (
-        ip2as.epoch_index_at(measurement.timestamp) if cache is not None else 0
+    path, reason = _convert(
+        measurement, ip2as, {} if cache is None else cache
     )
-    for traceroute in measurement.traceroutes:
-        if cache is not None:
-            signature = (
-                traceroute.addresses,
-                traceroute.error,
-                traceroute.destination_reached,
-                epoch_key,
-            )
-            converted = cache.get(signature)
-            if converted is None:
-                converted = cache[signature] = convert_traceroute(
-                    traceroute, ip2as, measurement.timestamp
-                )
-            path, reason = converted
-        else:
-            path, reason = convert_traceroute(
-                traceroute, ip2as, measurement.timestamp
-            )
-        if path is None:
-            assert reason is not None
-            reasons.append(reason)
-        else:
-            paths.append(_anchor(path, measurement))
-    if not paths:
-        # All three failed: report the most severe reason observed, in the
-        # paper's rule order (errors, then unmappable, then ambiguity).
-        for preferred in (
-            InconclusiveReason.TRACEROUTE_ERROR,
-            InconclusiveReason.UNMAPPABLE,
-            InconclusiveReason.AMBIGUOUS_GAP,
-        ):
-            if preferred in reasons:
-                return AsPathConversion(
-                    ConversionOutcome.DISCARDED, reason=preferred
-                )
-        return AsPathConversion(
-            ConversionOutcome.DISCARDED,
-            reason=InconclusiveReason.TRACEROUTE_ERROR,
-        )
-    distinct = list(dict.fromkeys(paths))
-    if len(distinct) > 1:
-        return AsPathConversion(
-            ConversionOutcome.DISCARDED,
-            reason=InconclusiveReason.MULTIPLE_PATHS,
-        )
-    return AsPathConversion(ConversionOutcome.OK, as_path=distinct[0])
+    if path is None:
+        return AsPathConversion(ConversionOutcome.DISCARDED, reason=reason)
+    return AsPathConversion(ConversionOutcome.OK, as_path=path)
 
 
-def _anchor(path: Tuple[int, ...], measurement: Measurement) -> Tuple[int, ...]:
+def _anchor(path: Tuple[int, ...], vantage_asn: int) -> Tuple[int, ...]:
     """Prepend the known vantage AS when the trace missed its own gateway."""
-    if path and path[0] == measurement.vantage_asn:
+    if path[0] == vantage_asn:
         return path
-    return (measurement.vantage_asn,) + path
+    return (vantage_asn,) + path
 
 
 __all__ = [

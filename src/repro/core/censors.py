@@ -55,16 +55,6 @@ class CensorReport:
             if censor == asn
         )
 
-    def windows_of(self, asn: int) -> int:
-        """Distinct (granularity, URL) contexts supporting ``asn``."""
-        contexts = set()
-        for (censor, anomaly), finding in self.findings.items():
-            if censor == asn:
-                for url in finding.urls:
-                    for granularity in finding.granularities:
-                        contexts.add((url, granularity))
-        return len(contexts)
-
     def well_supported_asns(self, min_problems: int = 2) -> List[int]:
         """Censors identified by at least ``min_problems`` problems.
 
@@ -83,14 +73,6 @@ class CensorReport:
     def anomalies_of(self, asn: int) -> FrozenSet[Anomaly]:
         """Anomaly types attributed to ``asn``."""
         return frozenset(a for censor, a in self.findings if censor == asn)
-
-    def urls_of(self, asn: int) -> FrozenSet[str]:
-        """URLs on which ``asn`` was identified censoring."""
-        out: Set[str] = set()
-        for (censor, _), finding in self.findings.items():
-            if censor == asn:
-                out |= finding.urls
-        return frozenset(out)
 
     def countries(self) -> FrozenSet[str]:
         """Countries containing at least one identified censor."""

@@ -10,10 +10,10 @@ were inconclusive are discarded and tallied in :class:`DiscardStats`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.anomaly import Anomaly
-from repro.core.aspath import InconclusiveReason, convert_measurement
+from repro.core.aspath import InconclusiveReason, _convert
 from repro.iclab.dataset import Dataset
 from repro.iclab.measurement import Measurement
 from repro.topology.ip2as import IpToAsDatabase
@@ -146,7 +146,8 @@ def observations_of(
     anomalies: Sequence[Anomaly] = Anomaly.all(),
     stats: Optional[DiscardStats] = None,
     conversion_cache: Optional[Dict] = None,
-) -> List[Observation]:
+    record: Callable[..., Any] = _observation,
+) -> List[Any]:
     """Convert one measurement into its per-anomaly observations.
 
     The single measurement→observation code path: :func:`build_observations`
@@ -155,26 +156,32 @@ def observations_of(
     two layers cannot disagree on conversion or discard semantics.  Returns
     ``[]`` (after tallying into ``stats``) when the measurement's
     traceroutes were inconclusive.
+
+    ``record`` builds each anomaly's record from ``(url, anomaly,
+    detected, as_path, timestamp, measurement_id)``: an
+    :class:`Observation` by default, or, for a front end that only ships
+    them, :func:`repro.api.wire.observation_record`'s wire tuples.
     """
+    as_path, reason = _convert(
+        measurement,
+        ip2as,
+        {} if conversion_cache is None else conversion_cache,
+    )
     if stats is not None:
         stats.total += 1
-    conversion = convert_measurement(
-        measurement, ip2as, cache=conversion_cache
-    )
-    if not conversion.ok:
-        assert conversion.reason is not None
-        if stats is not None:
-            stats.record_discard(conversion.reason)
+        if as_path is None:
+            assert reason is not None
+            stats.record_discard(reason)
+        else:
+            stats.converted += 1
+    if as_path is None:
         return []
-    if stats is not None:
-        stats.converted += 1
     detected_by_anomaly = measurement.anomalies
     url = measurement.url
-    as_path = conversion.as_path
     timestamp = measurement.timestamp
     measurement_id = measurement.measurement_id
     return [
-        _observation(
+        record(
             url,
             anomaly,
             detected_by_anomaly[anomaly],

@@ -212,12 +212,6 @@ class SweepReport:
     def total(self) -> int:
         return len(self.records)
 
-    def failed_records(self) -> List[Dict[str, Any]]:
-        return [
-            record
-            for record in self.records.values()
-            if record["status"] != STATUS_OK
-        ]
 
 
 def run_sweep(

@@ -244,25 +244,35 @@ class ServeClient:
 
     def ingest_measurement(self, measurement: Measurement) -> None:
         """Convert locally (one tally, one memo cache — the sharded
-        parent's exact semantics) and buffer the observations."""
+        parent's exact semantics) and buffer their wire tuples."""
         if self._ip2as is None:
             raise RuntimeError(
                 "ingest_measurement needs the client constructed with "
                 "an ip2as database; use ingest_observation for "
                 "pre-converted streams"
             )
-        converted = observations_of(
+        records = observations_of(
             measurement,
             self._ip2as,
             anomalies=self._anomalies,
             stats=self.discard,
             conversion_cache=self._conversion_cache,
+            record=wire.observation_record,
         )
-        for observation in converted:
-            self.ingest_observation(observation)
+        pending = self._pending
+        if len(pending) + len(records) < self._chunk_size:
+            pending.extend(records)
+            return
+        # A frame fills up on the way: buffer one by one, so every
+        # frame still carries exactly chunk_size tuples.
+        for record in records:
+            self._buffer_record(record)
 
     def ingest_observation(self, observation: Observation) -> None:
-        self._pending.append(wire.observation_to_wire(observation))
+        self._buffer_record(wire.observation_to_wire(observation))
+
+    def _buffer_record(self, record: Tuple) -> None:
+        self._pending.append(record)
         if len(self._pending) >= self._chunk_size:
             self.flush()
 

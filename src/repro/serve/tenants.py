@@ -185,10 +185,20 @@ class Tenant:
 
     def events_after(self, sequence: int) -> List[Tuple]:
         """Buffered event tuples with sequence strictly above
-        ``sequence``, oldest first."""
-        return [
-            payload for seq, payload in self.events if seq > sequence
-        ]
+        ``sequence``, oldest first.
+
+        The ring holds increasing sequences (:meth:`_capture_event`
+        appends them in emission order), so the scan walks back from the
+        newest event and stops at the cursor: an up-to-date subscriber
+        costs one comparison, not a pass over the whole ring.
+        """
+        newer: List[Tuple] = []
+        for seq, payload in reversed(self.events):
+            if seq <= sequence:
+                break
+            newer.append(payload)
+        newer.reverse()
+        return newer
 
     # -- gauge upkeep ------------------------------------------------------
 

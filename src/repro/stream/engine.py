@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import logging
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.anomaly import Anomaly
 from repro.core.observations import (
@@ -222,12 +222,6 @@ class StreamingLocalizer:
         return sorted(
             asn for asn, count in self._confirmed.items() if count > 0
         )
-
-    def solution_of(self, key: ProblemKey) -> Optional[ProblemSolution]:
-        """The latest verdict snapshot for one problem, if any."""
-        bucket = self._bucket_of(key)
-        state = self._states.get(bucket)
-        return state.last_solution if state is not None else None
 
     def _bucket_of(self, key: ProblemKey) -> _Bucket:
         index = self._granularities.index(key.granularity)

@@ -77,6 +77,27 @@ class IpToAsEpoch:
             raise ValueError("epoch interval is empty")
 
 
+class _EpochMap(dict):
+    """One epoch's memoized ``address -> Optional[ASN]`` map.
+
+    Pre-seeded with ``{None: None}`` so a silent hop maps to ``None``
+    like an unmappable one; a missing address runs the longest-prefix
+    lookup once through :meth:`__missing__`.  A run's hops therefore map
+    with ``map(epoch_map.__getitem__, addresses)``, a C-level loop for
+    every address already seen.
+    """
+
+    __slots__ = ("_table_lookup",)
+
+    def __init__(self, table: PrefixTable) -> None:
+        super().__init__({None: None})
+        self._table_lookup = table.lookup
+
+    def __missing__(self, address: int) -> Optional[int]:
+        asn = self[address] = self._table_lookup(address)
+        return asn
+
+
 class IpToAsDatabase:
     """Historical IP-to-AS data: consecutive epochs, queried by timestamp.
 
@@ -95,20 +116,16 @@ class IpToAsDatabase:
                 raise ValueError("epochs overlap")
         self._epochs = list(ordered)
         self._starts = [epoch.start for epoch in self._epochs]
-        self._caches: List[Dict[int, Optional[int]]] = [
-            {} for _ in self._epochs
-        ]
-
-    def _index_at(self, timestamp: int) -> int:
-        index = bisect.bisect_right(self._starts, timestamp) - 1
-        return max(0, min(index, len(self._epochs) - 1))
+        self._maps = [_EpochMap(epoch.table) for epoch in self._epochs]
 
     def epoch_index_at(self, timestamp: int) -> int:
         """The ordinal of the epoch covering ``timestamp`` (clamped).
 
         A stable cache key for callers memoizing per-epoch derived data.
         """
-        return self._index_at(timestamp)
+        # bisect_right is at most len(starts), so only the low end clamps.
+        index = bisect.bisect_right(self._starts, timestamp) - 1
+        return index if index > 0 else 0
 
     def epoch_at(self, timestamp: int) -> IpToAsEpoch:
         """The epoch covering ``timestamp``.
@@ -117,31 +134,20 @@ class IpToAsDatabase:
         last use the last — mirroring how researchers extrapolate from the
         nearest snapshot.
         """
-        return self._epochs[self._index_at(timestamp)]
+        return self._epochs[self.epoch_index_at(timestamp)]
+
+    def epoch_map(self, index: int) -> Dict[Optional[int], Optional[int]]:
+        """The memoized address map of epoch ``index``
+        (see :meth:`epoch_index_at`).
+
+        Indexing it with an address (or ``None``, a silent hop) yields
+        the ASN or ``None``.  Callers must only read it.
+        """
+        return self._maps[index]
 
     def lookup(self, address: int, timestamp: int) -> Optional[int]:
         """Map ``address`` to an ASN using the epoch at ``timestamp``."""
-        return self.resolver_at(timestamp)(address)
-
-    def resolver_at(self, timestamp: int):
-        """A memoized ``address -> Optional[ASN]`` resolver for one instant.
-
-        Callers mapping many addresses at the same timestamp (traceroute
-        conversion) fetch the resolver once and skip the per-call epoch
-        bisection.
-        """
-        index = self._index_at(timestamp)
-        cache = self._caches[index]
-        table_lookup = self._epochs[index].table.lookup
-
-        def resolve(address: int) -> Optional[int]:
-            try:
-                return cache[address]
-            except KeyError:
-                asn = cache[address] = table_lookup(address)
-                return asn
-
-        return resolve
+        return self._maps[self.epoch_index_at(timestamp)][address]
 
     @property
     def num_epochs(self) -> int:

@@ -44,11 +44,6 @@ class PrefixAllocation:
         """Iterate ``(asn, prefixes)`` pairs."""
         return iter(self.by_asn.items())
 
-    @property
-    def num_prefixes(self) -> int:
-        """Total number of allocated prefixes."""
-        return sum(len(prefixes) for prefixes in self.by_asn.values())
-
     def owner_pairs(self) -> Iterator[Tuple[Prefix, int]]:
         """Iterate ``(prefix, owner_asn)`` pairs."""
         for asn, prefixes in self.by_asn.items():

@@ -9,7 +9,7 @@ ICLab URLs resolve into 620 destination ASes (Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.asn import ASType
 from repro.topology.graph import ASGraph
@@ -77,10 +77,6 @@ class UrlTestList:
         for test_url in self.urls:
             seen.setdefault(test_url.dest_asn, None)
         return list(seen)
-
-    def in_category(self, category: Category) -> List[TestUrl]:
-        """All URLs of a category."""
-        return [u for u in self.urls if u.category is category]
 
     def by_domain(self, domain: str) -> Optional[TestUrl]:
         """The URL entry for a domain, or None."""

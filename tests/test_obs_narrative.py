@@ -327,7 +327,8 @@ class TestFlightRecorder:
             str(tmp_path / "flight"), reason="unit/test!", extra={"k": 1}
         )
         assert path
-        document = json.loads(open(path).read())
+        with open(path) as handle:
+            document = json.load(handle)
         assert document["reason"] == "unit/test!"
         assert document["capacity"] == 4
         assert document["extra"] == {"k": 1}
@@ -645,7 +646,8 @@ class TestRunnerObsCli:
         assert main(
             ["trace", out, "--preset", "tiny", "--backend", "inline"]
         ) == 0
-        document = json.loads(open(out).read())
+        with open(out) as handle:
+            document = json.load(handle)
         names = {
             event["args"]["name"]
             for event in document["traceEvents"]

@@ -40,7 +40,7 @@ from repro.serve import (
     stream_campaign,
 )
 from repro.serve.server import healthz_snapshot
-from repro.serve.tenants import state_path
+from repro.serve.tenants import Tenant, state_path
 
 
 def _config(seed=7, **overrides):
@@ -99,6 +99,39 @@ class TestByteIdentity:
         group that forced its verdicts, not only the verdicts."""
         result, _, _ = solo_outcome
         assert result.observations_by_key
+        assert result.to_dict(
+            include_observations=True
+        ) == tiny_batch.to_dict(include_observations=True)
+
+    def test_ingest_frames_carry_exactly_chunk_size(
+        self, daemon, tiny_world, tiny_dataset, tiny_batch
+    ):
+        """A measurement converts straight to its five wire tuples, yet
+        every ingest frame but the last carries exactly ``chunk_size``
+        of them (7 here, so frames fill mid-measurement)."""
+        client = ServeClient(
+            daemon.address,
+            "frames",
+            config=_config(chunk_size=7),
+            ip2as=tiny_world.ip2as,
+        )
+        sizes = []
+        post = client._post
+
+        def recording_post(frame):
+            if frame[0] == "ingest":
+                sizes.append(len(frame[2]))
+            post(frame)
+
+        client._post = recording_post
+        client.attach()
+        for measurement in tiny_dataset:
+            client.ingest_measurement(measurement)
+        result = client.drain()
+        client.close()
+        assert sum(sizes) == 5 * client.discard.converted
+        assert sizes[:-1] == [7] * (len(sizes) - 1)
+        assert 0 < sizes[-1] <= 7
         assert result.to_dict(
             include_observations=True
         ) == tiny_batch.to_dict(include_observations=True)
@@ -255,6 +288,49 @@ class TestSubscribers:
         with pytest.raises(ServeError, match="not attached"):
             with subscriber:
                 pass
+
+
+class TestEventRing:
+    """The per-tenant replay ring and the newest-first cursor scan."""
+
+    RING = 64
+
+    @pytest.fixture(scope="class")
+    def ring(self, tiny_world, tiny_dataset):
+        session = LocalizationSession.for_world(tiny_world, _config())
+        tenant = Tenant(
+            "ring", session, AdmissionPolicy(event_buffer=self.RING)
+        )
+        session.subscribe(tenant._capture_event)
+        emitted = []
+        session.subscribe(lambda event: emitted.append(event.sequence))
+        for measurement in tiny_dataset:
+            session.ingest_measurement(measurement)
+        yield tenant, emitted
+        tenant.close()
+
+    def test_capture_appends_increasing_sequences(self, ring):
+        tenant, emitted = ring
+        assert len(emitted) > self.RING  # the ring has evicted
+        buffered = [seq for seq, _ in tenant.events]
+        assert buffered == sorted(set(buffered))
+        assert buffered == emitted[-self.RING:]
+        assert tenant.last_event_seq == emitted[-1]
+
+    def test_events_after_equals_a_full_scan(self, ring):
+        tenant, emitted = ring
+        oldest = tenant.events[0][0]
+        newest = tenant.last_event_seq
+        cursors = {
+            -1, 0, emitted[0], oldest - 1, oldest, oldest + 1,
+            (oldest + newest) // 2, newest - 1, newest, newest + 10,
+        }
+        for cursor in sorted(cursors):
+            assert tenant.events_after(cursor) == [
+                payload for seq, payload in tenant.events if seq > cursor
+            ], cursor
+        assert tenant.events_after(newest) == []
+        assert len(tenant.events_after(0)) == self.RING
 
 
 class TestAdmission:
