@@ -40,10 +40,10 @@ def summarize_bench(bench: Dict) -> Optional[float]:
 
     Raw pytest-benchmark documents, slimmed ones (``slim_bench.py``),
     and hand-reduced stat sets all normalize to the same summary here:
-    ``stats.mean`` when present, else derived from ``total``/``rounds``,
-    else the average of the raw ``data`` samples.  Returns None when a
-    bench carries no usable timing at all — the diff then *reports* it
-    as unreadable instead of silently dropping or crashing on it.
+    ``stats.mean`` when present, else derived from ``total``/``rounds``.
+    Returns None when a bench carries no usable timing at all — the diff
+    then *reports* it as unreadable instead of silently dropping or
+    crashing on it.
     """
     stats = bench.get("stats") or {}
     mean = stats.get("mean")
@@ -56,19 +56,16 @@ def summarize_bench(bench: Dict) -> Optional[float]:
         and rounds > 0
     ):
         return float(total) / rounds
-    data = stats.get("data")
-    if isinstance(data, list) and data:
-        return float(sum(data)) / len(data)
     return None
 
 
 def load_means(path: Path) -> Dict[str, Optional[float]]:
     """Benchmark name → normalized mean seconds (None: no usable stats).
 
-    Reads every snapshot layout in the repo's history — raw and slimmed
-    — through one summary schema (:func:`summarize_bench`), so a
-    cross-format diff (e.g. BENCH_1 raw vs BENCH_2 slimmed) compares
-    every benchmark the two snapshots share.
+    Reads raw pytest-benchmark output and slimmed snapshots through one
+    summary schema (:func:`summarize_bench`), so a fresh raw run diffs
+    against a committed slimmed snapshot on every benchmark the two
+    share.
     """
     with open(path, "r", encoding="utf-8") as handle:
         payload = json.load(handle)

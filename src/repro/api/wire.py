@@ -73,6 +73,15 @@ of the campaign) decodes without the keyword ``__init__``.  A peer on
 an older build has no such constructor and would fail with
 ``AttributeError`` mid-unpickle; the bump makes it refuse at the hello
 or attach exchange instead.
+
+Format 6 changed the pickled form of problem keys and solutions, again
+not what frames carry.  :class:`~repro.core.splitting.ProblemKey`,
+:class:`~repro.core.problem.ProblemSolution` and
+:class:`~repro.iclab.measurement.Measurement` are slotted, and the first
+two pickle as a call to their constructor.  A format-5 peer pickles
+them with an instance-dict state, which a slotted class cannot load as
+it was meant; the bump makes the two builds refuse each other at the
+hello or attach exchange.
 """
 
 from __future__ import annotations
@@ -88,7 +97,7 @@ from repro.stream.events import VerdictEvent, VerdictKind
 from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 5
+WIRE_FORMAT = 6
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -415,7 +424,11 @@ def attached_frame(
     options: Optional[Dict[str, Any]] = None,
 ) -> Tuple:
     """The daemon's attach reply: the tenant's resume token and its
-    applied chunk watermark (the client re-sends everything above it)."""
+    applied chunk watermark (the client re-sends everything above it).
+
+    ``options`` carries the tenant's conversion settings,
+    ``{"anomalies": [anomaly value, ...], "chunk_size": int}``, which a
+    client that attached without a config adopts."""
     return (
         "attached",
         WIRE_FORMAT,

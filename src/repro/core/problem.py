@@ -35,7 +35,8 @@ as :meth:`TomographyProblem.solve_reference` and pinned by tests):
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import (
     Dict,
     FrozenSet,
@@ -65,7 +66,7 @@ class SolutionStatus(enum.Enum):
     MULTIPLE = "multiple"     # 2+ solutions: candidate set to narrow
 
 
-@dataclass
+@dataclass(slots=True)
 class ProblemSolution:
     """Everything the analyses need to know about one solved problem.
 
@@ -73,6 +74,9 @@ class ProblemSolution:
     For MULTIPLE problems, ``potential_censors`` holds ASes True in at
     least one solution and ``eliminated`` the definite non-censors (False
     in all solutions).  ``num_solutions`` is exact up to ``capped``.
+
+    Slotted: a batch holds one solution per problem, tens of thousands
+    on a paper-shaped run.
     """
 
     key: ProblemKey
@@ -85,6 +89,12 @@ class ProblemSolution:
     eliminated: FrozenSet[int] = frozenset()
     clause_count: int = 0
     positive_clause_count: int = 0
+
+    def __reduce__(self):
+        # Through the constructor, not the default pickle of a slotted
+        # object, a per-instance dict of slot names: a served drain
+        # result carries a solution per problem.
+        return (ProblemSolution, _solution_fields(self))
 
     @property
     def had_anomaly(self) -> bool:
@@ -101,6 +111,9 @@ class ProblemSolution:
         if self.status is not SolutionStatus.MULTIPLE or not self.observed_ases:
             return None
         return len(self.eliminated) / len(self.observed_ases)
+
+
+_solution_fields = attrgetter(*(spec.name for spec in fields(ProblemSolution)))
 
 
 @dataclass
@@ -126,14 +139,16 @@ class SolveStats:
 class ProblemSolveCache:
     """Shared state for solving a batch of problems.
 
-    Holds the signature → solution memo and the batch's solve counters.
-    One cache instance serves one pipeline run; it must not be shared
-    across runs with different observation semantics (the cache key
-    includes the solution cap, so differing caps are safe).
+    Holds the signature → solution memo, an intern table of AS sets, and
+    the batch's solve counters.  One cache instance serves one pipeline
+    run; it must not be shared across runs with different observation
+    semantics (the cache key includes the solution cap, so differing caps
+    are safe).
     """
 
     def __init__(self) -> None:
         self._solutions: Dict[ProblemSignature, ProblemSolution] = {}
+        self._ases: Dict[FrozenSet[int], FrozenSet[int]] = {}
         self.stats = SolveStats()
 
     def lookup(self, signature: ProblemSignature) -> Optional[ProblemSolution]:
@@ -142,6 +157,21 @@ class ProblemSolveCache:
     def store(
         self, signature: ProblemSignature, solution: ProblemSolution
     ) -> None:
+        """Memoize ``solution``, pointing its AS sets at interned copies.
+
+        Distinct CNFs often share an observed-AS set, and one solution's
+        ``eliminated`` often equals another's ``observed_ases``: each
+        value is kept once per batch, whatever field holds it.
+        """
+        intern = self._ases.setdefault
+        solution.observed_ases = intern(
+            solution.observed_ases, solution.observed_ases
+        )
+        solution.censors = intern(solution.censors, solution.censors)
+        solution.potential_censors = intern(
+            solution.potential_censors, solution.potential_censors
+        )
+        solution.eliminated = intern(solution.eliminated, solution.eliminated)
         self._solutions[signature] = solution
 
 

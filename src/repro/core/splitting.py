@@ -16,14 +16,27 @@ from repro.core.observations import Observation
 from repro.util.timeutil import Granularity, TimeWindow
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ProblemKey:
-    """Identity of one tomography problem."""
+    """Identity of one tomography problem.
+
+    Slotted: a batch holds one key per problem, tens of thousands on a
+    paper-shaped run.
+    """
 
     url: str
     anomaly: Anomaly
     granularity: Granularity
     window: TimeWindow
+
+    def __reduce__(self):
+        # Through the constructor, not the per-instance fields() walk of
+        # the state pair dataclasses add to frozen slotted classes: a
+        # served drain result carries a key per problem.
+        return (
+            ProblemKey,
+            (self.url, self.anomaly, self.granularity, self.window),
+        )
 
     def __str__(self) -> str:
         return (

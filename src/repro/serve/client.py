@@ -31,6 +31,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.anomaly import Anomaly
 from repro.api import wire
 from repro.api.config import SessionConfig
 from repro.api.transport import SocketTransport, TransportError, dial
@@ -71,7 +72,8 @@ class ServeClient:
     """One campaign's sequenced, reconnect-safe stream to the daemon.
 
     ``config`` (a :class:`SessionConfig`) creates the campaign on first
-    attach; pass ``None`` to join an existing one.  ``ip2as`` is needed
+    attach; pass ``None`` to join an existing one and adopt its anomalies
+    and chunk size from the daemon's attach reply.  ``ip2as`` is needed
     only for :meth:`ingest_measurement` (client-side conversion);
     pre-converted :meth:`ingest_observation` works without it.
     ``on_event`` receives :class:`VerdictEvent` pushes when
@@ -135,9 +137,14 @@ class ServeClient:
         if reply and reply[0] == "error":
             transport.close()
             raise ServeError(reply[1])
-        _campaign, token, applied_seq, _options = wire.check_attached(
+        _campaign, token, applied_seq, options = wire.check_attached(
             reply
         )
+        if self.config is None:
+            self._anomalies = tuple(
+                Anomaly(value) for value in options["anomalies"]
+            )
+            self._chunk_size = options["chunk_size"]
         self._transport = transport
         self.resume_token = token
         self._sync_to(applied_seq)
@@ -152,6 +159,10 @@ class ServeClient:
         if applied_seq > self._durable:
             # The daemon restored/holds this much — durable by definition.
             self._durable = applied_seq
+        if applied_seq > self._seq:
+            # Joining a campaign another client fed: number on from its
+            # watermark, or the daemon would skip this client's chunks.
+            self._seq = applied_seq
         for frame in self._buffer.values():
             self._transport.send(frame)
 
@@ -251,6 +262,8 @@ class ServeClient:
                 "an ip2as database; use ingest_observation for "
                 "pre-converted streams"
             )
+        if self._anomalies is None:
+            self.attach()   # a config-less client learns them here
         records = observations_of(
             measurement,
             self._ip2as,

@@ -376,9 +376,19 @@ class ServeDaemon:
         queue = self._ensure_applier(tenant)
         connection.want_events = want_events
         connection.events_cursor = tenant.last_event_seq
+        config = tenant.session.config
         await connection.send_frame(
             wire.attached_frame(
-                campaign, tenant.resume_token, tenant.applied_seq
+                campaign,
+                tenant.resume_token,
+                tenant.applied_seq,
+                options={
+                    "anomalies": [
+                        anomaly.value
+                        for anomaly in config.pipeline_config().anomalies
+                    ],
+                    "chunk_size": config.execution.chunk_size,
+                },
             )
         )
         while True:

@@ -12,14 +12,12 @@ The acceptance surface of the API redesign:
   across backends, and across backend switches at restore time;
 - `SessionConfig` subsumes the old `ScenarioConfig`/`PipelineConfig`/
   `JobSpec` knob split and round-trips through its wire form;
-- the sweep and stored-replay workloads ride the same façade;
-- deprecation shims warn exactly once and delegate.
+- the sweep and stored-replay workloads ride the same façade.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -38,7 +36,6 @@ from repro.scenario import build_world, tiny
 from repro.stream.checkpoint import engine_state, restore_engine
 from repro.stream.engine import StreamingLocalizer
 from repro.stream.events import VerdictEvent, VerdictKind
-from repro.util.deprecation import reset_warned
 
 TINY_CONFIG = SessionConfig(preset="tiny", seed=7)
 
@@ -695,70 +692,3 @@ class TestSessionWorkflows:
         backend = ShardedBackend(sharded_context)
         assert backend.shards == 2
         backend.close()
-
-
-class TestDeprecationShims:
-    """``warn_once`` warns exactly once per process, at the shim's caller."""
-
-    @pytest.fixture
-    def shim_module(self, tmp_path):
-        """Import a source string as a module from its own file, the way
-        a deprecated entry point lives apart from its callers."""
-        import importlib.util
-        import sys as sys_module
-
-        loaded = []
-
-        def load(name, source):
-            path = tmp_path / f"{name}.py"
-            path.write_text(source)
-            spec = importlib.util.spec_from_file_location(name, path)
-            module = importlib.util.module_from_spec(spec)
-            sys_module.modules[name] = module
-            loaded.append(name)
-            spec.loader.exec_module(module)
-            return module
-
-        yield load
-        for name in loaded:
-            del sys_module.modules[name]
-
-    def test_warnings_point_at_the_shims_caller(self, shim_module):
-        """The DeprecationWarning must name the *migration site* — this
-        file — and fire only on the first call."""
-        module = shim_module(
-            "direct_shim_module",
-            "from repro.util.deprecation import warn_once\n"
-            "def deprecated_entry():\n"
-            "    warn_once('test.direct-shim', 'direct shim is deprecated')\n"
-            "    return 'delegated'\n",
-        )
-        reset_warned()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert module.deprecated_entry() == "delegated"
-            assert module.deprecated_entry() == "delegated"
-        deprecations = [
-            entry
-            for entry in caught
-            if issubclass(entry.category, DeprecationWarning)
-        ]
-        assert len(deprecations) == 1
-        assert deprecations[0].filename == __file__
-
-    def test_warning_attribution_survives_nested_shims(self, shim_module):
-        """A shim that warns from a nested helper (a deeper call depth
-        than the direct shims) still attributes to its external caller —
-        the case a hardcoded stacklevel cannot cover."""
-        module = shim_module(
-            "legacy_shim_module",
-            "from repro.util.deprecation import warn_once\n"
-            "def _helper():\n"
-            "    warn_once('test.nested-shim', 'nested shim is deprecated')\n"
-            "def deprecated_entry():\n"
-            "    _helper()\n",
-        )
-        reset_warned()
-        with pytest.warns(DeprecationWarning) as record:
-            module.deprecated_entry()
-        assert record[0].filename == __file__

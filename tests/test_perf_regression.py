@@ -25,8 +25,12 @@ from array import array
 import pytest
 
 from repro.core.pipeline import PipelineConfig
-from repro.core.problem import ProblemSolveCache, TomographyProblem
-from repro.core.splitting import split_observations
+from repro.core.problem import (
+    ProblemSolution,
+    ProblemSolveCache,
+    TomographyProblem,
+)
+from repro.core.splitting import ProblemKey, split_observations
 from repro.core.observations import Observation, build_observations
 from repro.iclab.measurement import Measurement
 from repro.routing.bgp import RouteComputer
@@ -220,6 +224,8 @@ class TestHeapShape:
     ``array('d')``.  Observations are slotted, so none carries an
     instance dict.  Per-hop tuples or dict-backed observations would put
     hundreds of thousands of objects back on a paper-shaped run's heap.
+    Measurements, problem keys and solutions are slotted too, and a
+    solved batch keeps one copy of each distinct AS set.
     """
 
     @pytest.fixture(scope="class")
@@ -234,6 +240,10 @@ class TestHeapShape:
         observations, _ = build_observations(dataset, world.ip2as)
         gc.collect()
         return dataset, observations
+
+    @pytest.fixture(scope="class")
+    def solved(self, tiny_world, tiny_dataset):
+        return tiny_world.pipeline().run(tiny_dataset)
 
     def test_runs_keep_no_per_hop_objects(self, converted):
         dataset, _ = converted
@@ -300,10 +310,46 @@ class TestHeapShape:
         with pytest.raises(ValueError, match="anomaly results missing"):
             pickle.loads(blob)
 
-    def test_observations_have_no_instance_dict(self, converted):
-        _, observations = converted
-        assert observations
-        assert not any(hasattr(o, "__dict__") for o in observations)
+    def test_observations_have_no_instance_dict(self, converted, solved):
+        dataset, observations = converted
+        records = [
+            *observations,
+            *dataset,
+            *(solution.key for solution in solved.solutions),
+            *solved.solutions,
+        ]
+        assert observations and len(dataset) and solved.solutions
+        assert not any(hasattr(record, "__dict__") for record in records)
+
+    def test_solutions_share_one_object_per_as_set(self, solved):
+        # The solve memo's intern table: equal AS sets, in any of the
+        # four fields of any solution, are one frozenset.
+        by_value = {}
+        held = 0
+        for solution in solved.solutions:
+            for ases in (
+                solution.observed_ases,
+                solution.censors,
+                solution.potential_censors,
+                solution.eliminated,
+            ):
+                assert by_value.setdefault(ases, ases) is ases, ases
+                held += 1
+        assert 1 < len(by_value) < held
+
+    def test_keys_and_solutions_survive_pickle(self, solved):
+        solutions = solved.solutions
+        keys = [solution.key for solution in solutions]
+        assert keys[0].__reduce__()[0] is ProblemKey
+        assert solutions[0].__reduce__()[0] is ProblemSolution
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            key_clones = pickle.loads(pickle.dumps(keys, protocol))
+            assert all(type(clone) is ProblemKey for clone in key_clones)
+            assert key_clones == keys
+            assert [hash(k) for k in key_clones] == [hash(k) for k in keys]
+            clones = pickle.loads(pickle.dumps(solutions, protocol))
+            assert all(type(clone) is ProblemSolution for clone in clones)
+            assert clones == solutions
 
     def test_observation_survives_pickle(self, converted):
         _, observations = converted

@@ -185,6 +185,40 @@ class TestByteIdentity:
         assert results["iso-b"] == inline_other
         assert results["iso-a"] != results["iso-b"]
 
+    def test_configless_client_joins_and_drains(
+        self, daemon, tiny_world, tiny_dataset, tiny_batch
+    ):
+        """A client without a config joins a campaign another client
+        created, adopts its anomalies and chunk size from the attach
+        reply, and ingests the rest of the feed: the drain equals the
+        batch run on the whole feed."""
+        creator = ServeClient(
+            daemon.address,
+            "joined",
+            config=_config(chunk_size=16),
+            ip2as=tiny_world.ip2as,
+        )
+        creator.attach()
+        half = len(tiny_dataset) // 2
+        for measurement in tiny_dataset[:half]:
+            creator.ingest_measurement(measurement)
+        creator.flush()
+        creator.wait_for_acks()
+        creator.close()
+        joiner = ServeClient(daemon.address, "joined", ip2as=tiny_world.ip2as)
+        for measurement in tiny_dataset[half:]:
+            joiner.ingest_measurement(measurement)   # attaches first
+        assert joiner._chunk_size == 16
+        # Conversion tallies travel with the drain, so the joiner ships
+        # the creator's too.
+        joiner.discard.merge(creator.discard)
+        result = joiner.drain()
+        joiner.close()
+        assert joiner.reconnects == 0
+        assert result.to_dict(
+            include_observations=True
+        ) == tiny_batch.to_dict(include_observations=True)
+
     def test_midstream_disconnect_resumes(
         self, daemon, tiny_world, tiny_dataset, tiny_batch
     ):
