@@ -41,7 +41,6 @@ from repro.api.backends import (
     InlineBackend,
     ShardedBackend,
     backend_for,
-    shard_of,
 )
 from repro.api.checkpoint import (
     CHECKPOINT_FORMAT,
@@ -78,7 +77,6 @@ __all__ = [
     "BackendContext",
     "BackendError",
     "backend_for",
-    "shard_of",
     "PartitionMap",
     "Autoscaler",
     "AutoscalePolicy",

@@ -38,11 +38,13 @@ always return to ``recv`` because their sends are always drained).
 
 Dead shards recover instead of failing the stream: the parent keeps each
 worker's last engine-state slice (its *baseline*: the initial restore
-slice, a periodic snapshot, or a session checkpoint) plus the encoded
-frames sent since, respawns/reconnects the worker, restores the
-baseline, replays the log, and deduplicates the re-emitted verdict
-events by the shard-local sequence already delivered — so subscribers
-see each event exactly once and the drain stays byte-identical.
+slice or the last session checkpoint) plus the encoded frames sent
+since, respawns/reconnects the worker, restores the baseline, replays
+the log, and deduplicates the re-emitted verdict events by the
+shard-local sequence already delivered — so subscribers see each event
+exactly once and the drain stays byte-identical.  A shard that keeps
+dying fails the stream after ``RECOVERY_ATTEMPTS`` consecutive failed
+rebuilds.
 """
 
 from __future__ import annotations
@@ -105,7 +107,7 @@ from repro.util.timeutil import TimeWindow
 
 from repro.api import wire
 from repro.api.config import TRANSPORT_SOCKET, SessionConfig
-from repro.api.placement import PartitionMap, shard_of  # noqa: F401  (re-export)
+from repro.api.placement import PartitionMap
 from repro.api.transport import (
     _CODEC_BUCKETS,
     PipeTransport,
@@ -634,8 +636,8 @@ class _ShardWorker:
     """One shard's worker process/connection and its recovery ledger.
 
     The ledger is what makes a dead worker a non-event: ``baseline`` is
-    the last engine-state slice known to be behind us (initial restore,
-    periodic snapshot, or session checkpoint), ``log`` the encoded
+    the last engine-state slice known to be behind us (initial restore
+    or session checkpoint), ``log`` the encoded
     frames sent since, and ``delivered_seq`` the highest shard-local
     verdict-event sequence already handed to subscribers — the replay
     dedup line.
@@ -651,8 +653,6 @@ class _ShardWorker:
         self.delivered_seq = 0
         self.baseline: Optional[Dict[str, Any]] = None
         self.log: List[bytes] = []
-        self.chunks_since_snapshot = 0
-        self.snapshot_mark: Optional[int] = None
         self.failures = 0           # consecutive recoveries without service
         self._stopped = False
         self.spawn()
@@ -668,7 +668,6 @@ class _ShardWorker:
         # old incarnation vanish with it (replay re-produces them).
         self.queue = queue_module.Queue()
         self.outstanding = 0
-        self.snapshot_mark = None
         self._stopped = False
         threading.Thread(
             target=self._receive,
@@ -929,8 +928,6 @@ class ShardedBackend(ExecutionBackend):
         self.chunk_size = policy.chunk_size
         self.transport_kind = policy.transport
         self.recoveries = 0             # dead workers brought back so far
-        self._recovery = policy.recovery
-        self._snapshot_every = policy.shard_checkpoint_every
         self._connect_timeout = policy.connect_timeout
         self._shard_hosts = policy.shard_hosts
         pipeline_config = config.pipeline_config()
@@ -951,7 +948,6 @@ class ShardedBackend(ExecutionBackend):
         self._rebalances = 0            # committed epoch changes
         self._moved_buckets = 0         # pairs migrated across all of them
         self._last_rebalance: Optional[float] = None  # unix seconds
-        self._rebalance_allowed = policy.rebalance
         self._shard_cache: Dict[Tuple[str, str], int] = {}
         self._buffers: List[List[Tuple]] = [
             [] for _ in range(self.shards)
@@ -1388,8 +1384,6 @@ class ShardedBackend(ExecutionBackend):
         if shard_metrics is not None:
             shard_metrics.queue_depth.set(worker.outstanding)
             shard_metrics.replay_log.set(len(worker.log))
-        worker.chunks_since_snapshot += 1
-        self._maybe_snapshot(worker)
         self._pump()
         while worker.outstanding >= MAX_OUTSTANDING:
             self._handle_reply(worker, self._next_reply(worker))
@@ -1397,22 +1391,6 @@ class ShardedBackend(ExecutionBackend):
     def _flush_all(self) -> None:
         for shard in range(self.shards):
             self._flush(shard)
-
-    def _maybe_snapshot(self, worker: _ShardWorker) -> None:
-        """Request a recovery snapshot when the shard's log is due one.
-
-        The reply (handled asynchronously in ``_handle_reply``) becomes
-        the shard's new baseline and truncates the frames it covers —
-        bounding both replay time after a crash and parent-side log
-        memory on long streams."""
-        if (
-            not self._snapshot_every
-            or worker.snapshot_mark is not None
-            or worker.chunks_since_snapshot < self._snapshot_every
-        ):
-            return
-        worker.snapshot_mark = len(worker.log)
-        self._send_request(worker, wire.encode(("state",)))
 
     def _next_reply(
         self,
@@ -1488,26 +1466,10 @@ class ShardedBackend(ExecutionBackend):
             # hello and then dies is still a chronic crasher.
             worker.outstanding -= 1
             wire.check_hello_ack(reply)
-        elif kind == "state":
-            worker.outstanding -= 1
-            worker.failures = 0
-            self._adopt_snapshot(worker, reply[1])
         else:  # pragma: no cover - protocol bug guard
             raise BackendError(
                 f"unexpected reply {kind!r} from shard {worker.index}"
             )
-
-    def _adopt_snapshot(
-        self, worker: _ShardWorker, state: Dict[str, Any]
-    ) -> None:
-        if worker.snapshot_mark is None:
-            raise BackendError(
-                f"unsolicited state payload from shard {worker.index}"
-            )
-        worker.baseline = state
-        del worker.log[: worker.snapshot_mark]
-        worker.snapshot_mark = None
-        worker.chunks_since_snapshot = 0
 
     def _deliver(
         self,
@@ -1611,11 +1573,6 @@ class ShardedBackend(ExecutionBackend):
                     ],
                 },
             )
-        if not self._recovery:
-            raise BackendError(
-                f"shard {worker.index} died ({detail}); recovery is "
-                f"disabled by the execution policy"
-            )
         frames_replayed = len(worker.log)
         while True:
             # The failure budget lives on the worker and only resets when
@@ -1656,7 +1613,7 @@ class ShardedBackend(ExecutionBackend):
     def _rebuild(self, worker: _ShardWorker) -> bool:
         """One baseline-restore + log-replay attempt; False on a death
         mid-replay (the caller respawns and starts over — the log is
-        only ever truncated by confirmed snapshots, so a replay can
+        only ever truncated by a confirmed baseline, so a replay can
         safely restart from the top)."""
         try:
             if worker.baseline is not None:
@@ -1686,11 +1643,6 @@ class ShardedBackend(ExecutionBackend):
         replies, servicing interleaved event batches on the way."""
         workers = self._ensure_workers()
         self._flush_all()
-        # Settle any in-flight recovery snapshots first, so a "state"
-        # reply below can only belong to this collection.
-        for worker in workers:
-            while worker.snapshot_mark is not None:
-                self._handle_reply(worker, self._next_reply(worker))
         frame = wire.encode(request)
         for worker in workers:
             self._send_request(worker, frame)
@@ -1924,7 +1876,6 @@ class ShardedBackend(ExecutionBackend):
         for worker, shard_state in zip(self._workers, payloads):
             worker.baseline = shard_state
             worker.log.clear()
-            worker.chunks_since_snapshot = 0
         problems_by_key: Dict[Tuple, Dict[str, Any]] = {}
         max_sequence = 0
         for shard_state in payloads:
@@ -2018,7 +1969,6 @@ class ShardedBackend(ExecutionBackend):
             worker.baseline = shard_slice
             worker.log.clear()
             worker.delivered_seq = 0
-            worker.chunks_since_snapshot = 0
             self._send_request(worker, wire.encode(("restore", shard_slice)))
         for worker in self._workers:
             while worker.outstanding > 0:
@@ -2051,11 +2001,6 @@ class ShardedBackend(ExecutionBackend):
         moved pairs.
         """
         self._check_not_drained()
-        if not self._rebalance_allowed:
-            raise BackendError(
-                "rebalance is disabled by the execution policy "
-                "(ExecutionPolicy.rebalance=False)"
-            )
         old_map = self._placement
         if new_map.shards != self.shards and self._shard_hosts:
             raise BackendError(
@@ -2077,11 +2022,6 @@ class ShardedBackend(ExecutionBackend):
         # Every already-routed observation must reach its old owner
         # before any slice extraction sees the engine.
         self._flush_all()
-        # Settle in-flight recovery snapshots so a "state" reply cannot
-        # interleave with the "slice" replies below.
-        for worker in workers:
-            while worker.snapshot_mark is not None:
-                self._handle_reply(worker, self._next_reply(worker))
         # Grow first, so every destination exists before transfers.
         for index in range(self.shards, new_map.shards):
             self._add_worker(index)
@@ -2309,5 +2249,4 @@ __all__ = [
     "ShardedBackend",
     "backend_for",
     "run_shard_worker",
-    "shard_of",
 ]

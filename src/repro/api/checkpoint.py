@@ -19,7 +19,10 @@ from typing import Any, Dict
 
 from repro.util.fsio import atomic_write_bytes
 
-CHECKPOINT_FORMAT = 1
+# Format 2: the embedded ExecutionPolicy lost its workers, timeout,
+# recovery, rebalance and shard_checkpoint_every fields, and its
+# autoscale block keeps only enabled and max_shards.
+CHECKPOINT_FORMAT = 2
 
 
 def write_checkpoint(
@@ -42,15 +45,9 @@ def write_checkpoint(
 
 
 def read_checkpoint(path: os.PathLike) -> Dict[str, Any]:
-    """Load and validate one checkpoint document."""
+    """Load one checkpoint document (restoring it checks its format)."""
     with open(path, "r", encoding="utf-8") as stream:
-        document = json.load(stream)
-    if document.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"unsupported checkpoint format {document.get('format')!r} "
-            f"(this build reads format {CHECKPOINT_FORMAT})"
-        )
-    return document
+        return json.load(stream)
 
 
 __all__ = ["CHECKPOINT_FORMAT", "write_checkpoint", "read_checkpoint"]

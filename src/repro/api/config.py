@@ -6,8 +6,8 @@ Before :mod:`repro.api`, a run's knobs were split across three objects —
 :class:`~repro.runner.spec.JobSpec` (the JSON-friendly union of both the
 sweep runner ships to workers).  :class:`SessionConfig` subsumes the
 split: scenario preset + overrides, pipeline knobs, and — new — the
-*execution policy* (which backend runs the work, how many shards, sweep
-parallelism), all in primitives, so a session is content-addressable and
+*execution policy* (which backend runs the work, how many shards, how
+frames travel), all in primitives, so a session is content-addressable and
 reconstructible in a worker process or from a checkpoint file exactly
 like a job spec is.
 """
@@ -41,9 +41,8 @@ class ExecutionPolicy:
 
     ``backend`` picks the drain path: ``inline`` keeps today's
     single-threaded engine/pipeline; ``sharded`` partitions open windows
-    across ``shards`` worker processes by the bucket key.  ``workers`` /
-    ``timeout`` govern sweep fan-out (per-job processes), exactly as the
-    runner CLI's flags did.
+    across ``shards`` worker processes by the bucket key, ``chunk_size``
+    observations per worker message.
 
     ``transport`` picks how shard frames travel: ``pipe`` forks local
     workers over multiprocessing pipes; ``socket`` runs the same wire
@@ -54,39 +53,24 @@ class ExecutionPolicy:
     parent binds those addresses and waits ``connect_timeout`` seconds
     for external ``repro-runner shard-worker --connect`` processes.
 
-    ``rebalance`` gates live placement changes on the sharded backend:
-    ``session.rebalance()`` / ``add_shard()`` / ``remove_shard()`` and
-    the autoscaler all refuse when it is off, so a deployment can pin a
-    static layout.  ``autoscale`` is the :class:`AutoscalePolicy` the
-    session (or serve tenant) polls — disabled by default; enabling it
-    only has an effect on the sharded backend.
-
-    ``recovery`` keeps a dead shard from failing the stream: the parent
+    The sharded backend always recovers a dead shard: the parent
     respawns (pipe) or re-accepts (socket) the worker and rebuilds it
-    from its last checkpoint slice plus a frame-replay log.
-    ``shard_checkpoint_every`` bounds that log by snapshotting each
-    shard's engine state every N chunks (0 = never snapshot: recovery
-    replays from the stream's start, or from the last session-level
-    restore/checkpoint).  The default-0 log retains one compact encoded
-    copy of every chunk sent — a small fraction of the observation
-    groups the parent already holds for the merged drain, but on very
-    long campaigns set a snapshot cadence (each snapshot costs one
-    full engine-state export for that shard) or checkpoint the session
-    periodically, either of which truncates the log.
+    from its last checkpoint slice plus a frame-replay log, and fails
+    the stream only after ``RECOVERY_ATTEMPTS`` consecutive failed
+    rebuilds.  Live placement changes (``session.rebalance()`` /
+    ``add_shard()`` / ``remove_shard()``) are always allowed;
+    ``autoscale`` is the :class:`AutoscalePolicy` the session (or serve
+    tenant) polls to make them on its own — disabled by default, and
+    only effective on the sharded backend.
     """
 
     backend: str = BACKEND_INLINE
     shards: int = 2
     chunk_size: int = 256          # observations per worker message
-    workers: int = 1               # sweep: concurrent job processes
-    timeout: Optional[float] = None  # sweep: per-job seconds
     late_policy: str = LATE_REOPEN
     transport: str = TRANSPORT_PIPE
     shard_hosts: Tuple[str, ...] = ()  # socket: per-shard listen addresses
     connect_timeout: float = 30.0      # socket: accept/reconnect seconds
-    recovery: bool = True              # respawn dead shards from checkpoints
-    shard_checkpoint_every: int = 0    # chunks between recovery snapshots
-    rebalance: bool = True             # allow live placement changes
     autoscale: AutoscalePolicy = field(default_factory=AutoscalePolicy)
 
     def __post_init__(self) -> None:
@@ -98,8 +82,6 @@ class ExecutionPolicy:
             raise ValueError("shards must be positive")
         if self.chunk_size < 1:
             raise ValueError("chunk_size must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
         if self.late_policy not in (LATE_REOPEN, LATE_ERROR):
             raise ValueError(f"unknown late policy: {self.late_policy!r}")
         if self.transport not in TRANSPORTS:
@@ -119,13 +101,6 @@ class ExecutionPolicy:
                 )
         if self.connect_timeout <= 0:
             raise ValueError("connect_timeout must be positive")
-        if self.shard_checkpoint_every < 0:
-            raise ValueError("shard_checkpoint_every must be >= 0")
-        if self.autoscale.enabled and not self.rebalance:
-            raise ValueError(
-                "autoscale needs rebalance=True — an autoscaler that "
-                "cannot move buckets has nothing to do"
-            )
         if self.autoscale.enabled and self.shard_hosts:
             raise ValueError(
                 "autoscale cannot grow a fixed shard_hosts fleet; drop "

@@ -20,14 +20,13 @@ and the shard count is fixed for a campaign's whole life.  A
   confuse two overlapping migrations, and ``/statusz`` can show which
   placement generation is live.
 
-The pair hash is exactly the digest :func:`shard_of` has always used —
-``shard_of`` survives only as this module's seed (and the degenerate
-modulo layout it implies is gone from every call site).
+The pair hash (:func:`bucket_hash`) is the key's position on the ring;
+the old static layout took it modulo the shard count.
 
 Placement is pure data: the map never talks to workers.  The sharded
 backend owns the migration (extract slices, transfer, commit) and the
 :class:`Autoscaler` below decides *when* — watching the per-shard
-ingest-lag/queue-depth signals behind PR 6's gauges and calling
+ingest-lag/queue-depth signals behind the per-shard gauges and calling
 ``session.add_shard()`` / ``remove_shard()`` under min/max bounds and a
 cooldown.
 """
@@ -62,21 +61,11 @@ PLACEMENT_FORMAT = 1
 def bucket_hash(url: str, anomaly_value: str) -> int:
     """The stable 32-bit content hash of one (URL, anomaly) pair.
 
-    This is the digest ``shard_of`` has always taken modulo the shard
-    count; the ring reuses it as the key's position, so placement stays
+    The ring uses it as the key's position, so placement stays
     identical in every process and every run (never Python's randomized
     ``hash``).
     """
     return zlib.crc32(f"{anomaly_value}|{url}".encode("utf-8"))
-
-
-def shard_of(url: str, anomaly_value: str, shards: int) -> int:
-    """The legacy static layout: content hash modulo shard count.
-
-    Survives only as the :class:`PartitionMap` seed — nothing routes
-    through it directly anymore.
-    """
-    return bucket_hash(url, anomaly_value) % shards
 
 
 class PartitionMap:
@@ -252,53 +241,40 @@ class PartitionMap:
 # -- autoscaling -------------------------------------------------------------
 
 
+# The autoscaler's thresholds.  The signals are the ones behind the
+# per-shard gauges: ingest lag (``repro_shard_ingest_lag_seconds`` — how
+# far, in simulated-stream seconds, the slowest shard's acks trail its
+# sends) and queue depth (``repro_shard_queue_depth`` — outstanding
+# unanswered frames).
+MIN_SHARDS = 1
+SCALE_UP_LAG = 30.0         # simulated-stream seconds on any shard
+SCALE_UP_QUEUE = 6          # outstanding frames on any shard
+SCALE_DOWN_LAG = 1.0        # every shard at or below, with empty queues
+CHECK_EVERY = 5.0           # wall seconds between evaluations
+COOLDOWN = 30.0             # wall seconds between scale actions
+
+
 @dataclass(frozen=True)
 class AutoscalePolicy:
-    """When to add or remove shards, as data.
+    """Whether to add or remove shards, and the fleet's upper bound.
 
-    The signals are the ones behind PR 6's per-shard gauges: ingest lag
-    (``repro_shard_ingest_lag_seconds`` — how far, in simulated-stream
-    seconds, the slowest shard's acks trail its sends) and queue depth
-    (``repro_shard_queue_depth`` — outstanding unanswered frames).  Scale
-    up when either crosses its threshold on any shard; scale down when
-    every shard is idle below ``scale_down_lag`` with empty queues.
-    ``cooldown`` spaces actions so one burst cannot thrash the fleet,
-    and ``check_every`` bounds evaluation frequency (each check reads a
-    handful of counters — cheap, but not free on a hot ingest loop).
+    Scale up when any shard's lag reaches ``SCALE_UP_LAG`` or its queue
+    ``SCALE_UP_QUEUE``; scale down when every shard is idle at or below
+    ``SCALE_DOWN_LAG`` with an empty queue.  ``COOLDOWN`` spaces actions
+    so one burst cannot thrash the fleet, and ``CHECK_EVERY`` bounds
+    evaluation frequency (each check reads a handful of counters —
+    cheap, but not free on a hot ingest loop).
     """
 
     enabled: bool = False
-    min_shards: int = 1
     max_shards: int = 8
-    scale_up_lag: float = 30.0      # simulated-stream seconds
-    scale_up_queue: int = 6         # outstanding frames on any shard
-    scale_down_lag: float = 1.0
-    check_every: float = 5.0        # wall seconds between evaluations
-    cooldown: float = 30.0          # wall seconds between scale actions
 
     def __post_init__(self) -> None:
-        if self.min_shards < 1:
-            raise ValueError("min_shards must be positive")
-        if self.max_shards < self.min_shards:
-            raise ValueError("max_shards must be >= min_shards")
-        if self.scale_up_lag <= 0 or self.scale_up_queue <= 0:
-            raise ValueError("scale-up thresholds must be positive")
-        if self.scale_down_lag < 0:
-            raise ValueError("scale_down_lag must be >= 0")
-        if self.check_every < 0 or self.cooldown < 0:
-            raise ValueError("check_every/cooldown must be >= 0")
+        if self.max_shards < MIN_SHARDS:
+            raise ValueError(f"max_shards must be >= {MIN_SHARDS}")
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "enabled": self.enabled,
-            "min_shards": self.min_shards,
-            "max_shards": self.max_shards,
-            "scale_up_lag": self.scale_up_lag,
-            "scale_up_queue": self.scale_up_queue,
-            "scale_down_lag": self.scale_down_lag,
-            "check_every": self.check_every,
-            "cooldown": self.cooldown,
-        }
+        return {"enabled": self.enabled, "max_shards": self.max_shards}
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "AutoscalePolicy":
@@ -345,13 +321,13 @@ class Autoscaler:
         now = self._clock()
         if (
             self._last_check is not None
-            and now - self._last_check < self.policy.check_every
+            and now - self._last_check < CHECK_EVERY
         ):
             return None
         self._last_check = now
         if (
             self._last_action is not None
-            and now - self._last_action < self.policy.cooldown
+            and now - self._last_action < COOLDOWN
         ):
             return None
         load = self._load()
@@ -368,16 +344,15 @@ class Autoscaler:
         max_lag = max(entry.get("lag", 0.0) for entry in load)
         max_queue = max(entry.get("queue", 0) for entry in load)
         if shards < self.policy.max_shards and (
-            max_lag >= self.policy.scale_up_lag
-            or max_queue >= self.policy.scale_up_queue
+            max_lag >= SCALE_UP_LAG or max_queue >= SCALE_UP_QUEUE
         ):
             self.session.add_shard()
             self._last_action = now
             self.actions.append(("up", shards + 1))
             return "up"
         if (
-            shards > self.policy.min_shards
-            and max_lag <= self.policy.scale_down_lag
+            shards > MIN_SHARDS
+            and max_lag <= SCALE_DOWN_LAG
             and max_queue == 0
         ):
             self.session.remove_shard()
@@ -396,13 +371,18 @@ def pairs_of_state(problems: Iterable[Dict[str, Any]]) -> Set[Pair]:
 
 
 __all__ = [
+    "CHECK_EVERY",
+    "COOLDOWN",
     "DEFAULT_VNODES",
+    "MIN_SHARDS",
     "PLACEMENT_FORMAT",
+    "SCALE_DOWN_LAG",
+    "SCALE_UP_LAG",
+    "SCALE_UP_QUEUE",
     "Autoscaler",
     "AutoscalePolicy",
     "Pair",
     "PartitionMap",
     "bucket_hash",
     "pairs_of_state",
-    "shard_of",
 ]

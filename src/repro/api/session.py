@@ -64,7 +64,11 @@ from repro.api.backends import (
     ShardedBackend,
     backend_for,
 )
-from repro.api.checkpoint import read_checkpoint, write_checkpoint
+from repro.api.checkpoint import (
+    CHECKPOINT_FORMAT,
+    read_checkpoint,
+    write_checkpoint,
+)
 from repro.api.config import ExecutionPolicy, SessionConfig
 from repro.api.placement import (
     Autoscaler,
@@ -462,14 +466,14 @@ class LocalizationSession:
         spec: Optional[SweepSpec] = None,
         jobs: Optional[Sequence[JobSpec]] = None,
         store=None,
-        workers: Optional[int] = None,
+        workers: int = 1,
         timeout: Optional[float] = None,
         progress=None,
     ):
         """Run a job grid through the parallel sweep runner.
 
-        Worker count and per-job timeout default to the session's
-        execution policy.  Returns the runner's
+        ``workers`` concurrent job processes, ``timeout`` seconds per job
+        (None: unbounded).  Returns the runner's
         :class:`~repro.runner.executor.SweepReport`.
         """
         # Deferred: the executor imports this module for run_job.
@@ -482,16 +486,8 @@ class LocalizationSession:
         return run_sweep(
             jobs,
             store=store,
-            workers=(
-                workers
-                if workers is not None
-                else self.config.execution.workers
-            ),
-            timeout=(
-                timeout
-                if timeout is not None
-                else self.config.execution.timeout
-            ),
+            workers=workers,
+            timeout=timeout,
             progress=progress,
         )
 
@@ -528,11 +524,6 @@ class LocalizationSession:
     # -- elastic sharding --------------------------------------------------
 
     def _sharded_backend(self, what: str) -> ShardedBackend:
-        if not self.config.execution.rebalance:
-            raise RuntimeError(
-                f"{what} is disabled by the execution policy "
-                "(ExecutionPolicy.rebalance=False)"
-            )
         backend = self.backend
         if not isinstance(backend, ShardedBackend):
             raise RuntimeError(
@@ -673,6 +664,11 @@ class LocalizationSession:
         per-tenant state files (which carry extra resume bookkeeping),
         so it loads the JSON itself and resumes tenants through here.
         """
+        if document.get("format") != CHECKPOINT_FORMAT:
+            raise ValueError(
+                f"unsupported checkpoint format {document.get('format')!r} "
+                f"(this build reads format {CHECKPOINT_FORMAT})"
+            )
         config = SessionConfig.from_dict(document["config"])
         if execution is not None:
             config = dataclasses.replace(config, execution=execution)

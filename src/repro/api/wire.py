@@ -82,6 +82,18 @@ two pickle as a call to their constructor.  A format-5 peer pickles
 them with an instance-dict state, which a slotted class cannot load as
 it was meant; the bump makes the two builds refuse each other at the
 hello or attach exchange.
+
+Format 7 shrank the :class:`~repro.api.config.ExecutionPolicy` dict
+that ``hello`` and ``attach`` frames carry inside the session config:
+``workers``, ``timeout``, ``recovery``, ``rebalance`` and
+``shard_checkpoint_every`` are gone, and its ``autoscale`` block keeps
+only ``enabled`` and ``max_shards``.  A format-6 config would fail the
+constructor with a ``TypeError``.  The serve ``ingest`` frame also
+gained a trailing element: the client's conversion tallies
+(:func:`repro.stream.checkpoint.discard_to_dict`, or ``None``) gathered
+since its previous ``ingest`` or ``drain`` frame.  The daemon merges
+them once per applied sequence, so a campaign fed by several clients
+drains with every client's tallies.
 """
 
 from __future__ import annotations
@@ -97,7 +109,7 @@ from repro.stream.events import VerdictEvent, VerdictKind
 from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 6
+WIRE_FORMAT = 7
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -361,9 +373,11 @@ def frame_trace(message: Tuple) -> Optional[Tuple]:
 # -- serve vocabulary (format 3) ---------------------------------------------
 #
 # The multi-tenant daemon's control plane.  Data-plane frames reuse the
-# shard shapes: ``("ingest", seq, [obs_tuple, ...])`` chunks answered by
-# ``("ack", seq)``, ``("advance", seq, timestamp)``, and ``("events",
-# [event_tuple, ...])`` pushes.  ``seq`` is a client-monotone chunk
+# shard shapes: ``("ingest", seq, [obs_tuple, ...], tallies)`` chunks
+# answered by ``("ack", seq)``, ``("advance", seq, timestamp)``,
+# ``("drain", seq, tallies)``, and ``("events", [event_tuple, ...])``
+# pushes.  ``tallies`` is the sender's conversion tally since its last
+# ingest or drain frame (a ``discard_to_dict`` payload, or ``None``).  ``seq`` is a client-monotone chunk
 # counter — the daemon applies each sequence exactly once (a re-sent
 # chunk at or below the applied watermark is acked but skipped), which
 # is what makes reconnect-and-resend idempotent.

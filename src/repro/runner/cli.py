@@ -12,10 +12,10 @@ Subcommands:
 - ``perf``   — where the time went: per-stage wall-clock totals and
   solver/routing counters aggregated from the stored perf sidecars
   (``--json`` for machine-readable output);
-- ``stream`` — run a campaign through the online streaming localizer
-  (:mod:`repro.stream`), printing verdicts as they tighten; ``--replay``
-  re-streams a persisted sweep's jobs and verifies each against its
-  stored batch record;
+- ``stream`` — ``repro-stream`` (:mod:`repro.stream.cli`) with the
+  runner's ``--store``: every flag after ``stream`` is passed through,
+  so ``--replay NAME`` re-streams a persisted sweep's jobs from this
+  store and verifies each against its stored batch record;
 - ``status`` — one shot against a live session's (or serve daemon's)
   ``/statusz``: health, uptime, a per-shard liveness/lag table, and —
   against a ``repro-serve`` endpoint — the per-tenant campaign rollup
@@ -53,7 +53,7 @@ from repro.runner.results import (
     report_rows,
 )
 from repro.obs import log as obslog
-from repro.runner.spec import CHURN_MODES, JobSpec, SweepSpec, WITH_CHURN
+from repro.runner.spec import CHURN_MODES, SweepSpec, WITH_CHURN
 from repro.runner.store import ResultStore
 from repro.scenario.presets import PRESETS
 from repro.util.profiling import StageTimer
@@ -188,91 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="machine-readable output (stages, counters, per-job walls)",
     )
 
-    stream = subparsers.add_parser(
+    # Everything after "stream" goes to repro-stream's own parser.
+    subparsers.add_parser(
         "stream",
-        help="stream a campaign online with incremental verdicts",
-    )
-    stream.add_argument(
-        "--preset", default="tiny", choices=sorted(PRESETS)
-    )
-    stream.add_argument("--seed", type=int, default=0)
-    stream.add_argument("--duration-days", type=int, default=None)
-    stream.add_argument("--num-urls", type=int, default=None)
-    stream.add_argument("--num-vantage-points", type=int, default=None)
-    stream.add_argument(
-        "--replay",
-        default=None,
-        metavar="NAME",
-        help=(
-            "replay a persisted sweep's jobs from the store, verifying "
-            "each drained stream against its stored batch record"
-        ),
-    )
-    stream.add_argument(
-        "--backend",
-        default="inline",
-        choices=("inline", "sharded"),
-        help="execution backend (default: inline)",
-    )
-    stream.add_argument(
-        "--shards",
-        type=int,
-        default=2,
-        metavar="N",
-        help="worker processes for --backend sharded (default: 2)",
-    )
-    stream.add_argument(
-        "--transport",
-        default="pipe",
-        choices=("pipe", "socket"),
-        help=(
-            "shard transport: forked pipe workers, or TCP socket "
-            "workers (default: pipe)"
-        ),
-    )
-    stream.add_argument(
-        "--autoscale",
-        action="store_true",
-        help=(
-            "let an Autoscaler add/remove shard workers mid-stream "
-            "(sharded backend, fresh mode only)"
-        ),
-    )
-    stream.add_argument(
-        "--max-shards",
-        type=int,
-        default=8,
-        metavar="N",
-        help="upper bound for --autoscale (default: 8)",
-    )
-    stream.add_argument("--events", type=int, default=10, metavar="N")
-    stream.add_argument("--verify", action="store_true")
-    stream.add_argument("--json", action="store_true")
-    stream.add_argument(
-        "--metrics-port",
-        type=int,
-        default=None,
-        metavar="PORT",
-        help=(
-            "enable telemetry and serve /metrics + /metrics.json over "
-            "HTTP on this port (0 picks a free one)"
-        ),
-    )
-    stream.add_argument(
-        "--metrics-linger",
-        type=float,
-        default=0.0,
-        metavar="SECONDS",
-        help="keep the metrics endpoint up this long after the run",
-    )
-    stream.add_argument(
-        "--flight-dir",
-        default=None,
-        metavar="DIR",
-        help=(
-            "arm the flight recorder: dump the diagnostic ring buffer "
-            "into DIR on worker death or SIGUSR1"
-        ),
+        add_help=False,
+        help="stream a campaign online (takes repro-stream's flags)",
     )
 
     status = subparsers.add_parser(
@@ -680,50 +600,13 @@ def _cmd_perf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_stream(args: argparse.Namespace) -> int:
+def _cmd_stream(args: argparse.Namespace, argv: List[str]) -> int:
     # Deferred import: the stream CLI pulls in the full engine stack,
-    # which sweep/report invocations never need.
+    # which sweep/report invocations never need.  The runner's --store
+    # goes first, so a --store among the stream flags still wins.
     from repro.stream import cli as stream_cli
 
-    if args.replay is not None:
-        if args.autoscale:
-            print(
-                "error: --autoscale is fresh-mode only",
-                file=sys.stderr,
-            )
-            return 2
-        return stream_cli.run_replay(
-            args.store,
-            args.replay,
-            event_limit=args.events,
-            json_mode=args.json,
-            backend=args.backend,
-            shards=args.shards,
-            transport=args.transport,
-            metrics_port=args.metrics_port,
-            metrics_linger=args.metrics_linger,
-            flight_dir=args.flight_dir,
-        )
-    job = JobSpec(
-        preset=args.preset,
-        seed=args.seed,
-        duration_days=args.duration_days,
-        num_urls=args.num_urls,
-        num_vantage_points=args.num_vantage_points,
-    )
-    return stream_cli.run_fresh(
-        job,
-        event_limit=args.events,
-        verify=args.verify,
-        json_mode=args.json,
-        backend=args.backend,
-        shards=args.shards,
-        transport=args.transport,
-        metrics_port=args.metrics_port,
-        metrics_linger=args.metrics_linger,
-        flight_dir=args.flight_dir,
-        autoscale=stream_cli._autoscale_policy(args),
-    )
+    return stream_cli.main(["--store", args.store, *argv])
 
 
 def _endpoint_url(url: str, path: str) -> str:
@@ -1071,7 +954,6 @@ _COMMANDS = {
     "list": _cmd_list,
     "report": _cmd_report,
     "perf": _cmd_perf,
-    "stream": _cmd_stream,
     "status": _cmd_status,
     "top": _cmd_top,
     "trace": _cmd_trace,
@@ -1081,8 +963,13 @@ _COMMANDS = {
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args, rest = parser.parse_known_args(argv)
+    if rest and args.command != "stream":
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     obslog.configure_from_args(args)
+    if args.command == "stream":
+        return _cmd_stream(args, rest)
     try:
         return _COMMANDS[args.command](args)
     except (FileNotFoundError, ValueError) as exc:

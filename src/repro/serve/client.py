@@ -78,6 +78,10 @@ class ServeClient:
     pre-converted :meth:`ingest_observation` works without it.
     ``on_event`` receives :class:`VerdictEvent` pushes when
     ``want_events`` (deduplicated across reconnects by sequence).
+
+    Conversion tallies ride the sequenced frames: each ``ingest`` or
+    ``drain`` frame carries the tallies gathered since this client's
+    previous one, and ``discard`` sums the tallies already shipped.
     """
 
     def __init__(
@@ -108,6 +112,7 @@ class ServeClient:
         self.retry_for = retry_for
         self.window = window
         self.discard = DiscardStats()
+        self._unsent = DiscardStats()
         self._conversion_cache: Dict = {}
         self._transport: Optional[SocketTransport] = None
         self.resume_token: Optional[str] = None
@@ -268,7 +273,7 @@ class ServeClient:
             measurement,
             self._ip2as,
             anomalies=self._anomalies,
-            stats=self.discard,
+            stats=self._unsent,
             conversion_cache=self._conversion_cache,
             record=wire.observation_record,
         )
@@ -289,12 +294,24 @@ class ServeClient:
         if len(self._pending) >= self._chunk_size:
             self.flush()
 
+    def _take_tallies(self) -> Optional[Dict]:
+        """The tallies gathered since the last frame, moved into
+        ``discard``; None when nothing was converted since."""
+        unsent = self._unsent
+        if not unsent.total:
+            return None
+        self.discard.merge(unsent)
+        self._unsent = DiscardStats()
+        return discard_to_dict(unsent)
+
     def flush(self) -> None:
         """Ship the pending observations as one sequenced chunk."""
         if not self._pending:
             return
         self._seq += 1
-        self._post(("ingest", self._seq, self._pending))
+        self._post(
+            ("ingest", self._seq, self._pending, self._take_tallies())
+        )
         self._pending = []
 
     def advance(self, timestamp: int) -> None:
@@ -313,7 +330,7 @@ class ServeClient:
             self._handle_one_reply()
 
     def drain(self) -> PipelineResult:
-        """Flush, ship the discard tallies, and wait for the result.
+        """Flush, ship the last tallies, and wait for the result.
 
         The daemon caches the result per tenant, so a drain retried
         across a reconnect returns the same object.
@@ -322,7 +339,7 @@ class ServeClient:
             return self.result
         self.flush()
         self._seq += 1
-        self._post(("drain", self._seq, discard_to_dict(self.discard)))
+        self._post(("drain", self._seq, self._take_tallies()))
         while self.result is None:
             self._handle_one_reply()
         return self.result

@@ -14,10 +14,10 @@ The conversation per ingest connection::
     client                            daemon
     attach(campaign, config, token) ->
                                     <- attached(token, applied_seq)
-    ingest(seq, [obs...])           ->
+    ingest(seq, [obs...], tallies)  ->
                                     <- [events([...])] ack(seq)
     ...                             <- checkpoint_ack(seq)   (periodic)
-    drain(seq, discard)             ->
+    drain(seq, tallies)             ->
                                     <- result(PipelineResult)
 
 Subscriber connections instead open with ``subscribe(campaign,

@@ -235,7 +235,9 @@ class Tenant:
 
         ``("ack", seq)`` for ingest/advance, ``("result", result)`` for
         drain.  A frame at or below the applied watermark is skipped but
-        still answered — that idempotence is the whole reconnect story.
+        still answered — that idempotence is the whole reconnect story,
+        and it is why an ingest frame's conversion tallies are merged
+        here, after the skip check: a resent frame counts once.
         Raises :class:`ServeError` on a sequence gap (the client and
         daemon have irreconcilably diverged — better loud than subtly
         wrong).
@@ -263,6 +265,7 @@ class Tenant:
                     session.ingest_observation(
                         wire.observation_from_wire(payload)
                     )
+                self._merge_tallies(message[3])
             elif kind == "advance":
                 self.session.advance(message[2])
             else:
@@ -303,14 +306,17 @@ class Tenant:
                 ),
             )
 
+    def _merge_tallies(self, discard_payload) -> None:
+        if discard_payload:
+            self.session.backend.merge_discard_stats(
+                discard_from_dict(discard_payload)
+            )
+
     def _drain(self, seq: int, discard_payload) -> PipelineResult:
         if self.result is not None:
             return self.result
         try:
-            if discard_payload:
-                self.session.backend.merge_discard_stats(
-                    discard_from_dict(discard_payload)
-                )
+            self._merge_tallies(discard_payload)
             self.result = self.session.drain()
         except Exception as exc:
             self.fail(f"{type(exc).__name__}: {exc}")

@@ -231,15 +231,11 @@ def _session_config(
     autoscale: Optional[AutoscalePolicy] = None,
 ) -> SessionConfig:
     execution = ExecutionPolicy(
-        backend=backend, shards=shards, transport=transport
+        backend=backend,
+        shards=shards,
+        transport=transport,
+        autoscale=autoscale if autoscale is not None else AutoscalePolicy(),
     )
-    if autoscale is not None:
-        execution = ExecutionPolicy(
-            backend=backend,
-            shards=shards,
-            transport=transport,
-            autoscale=autoscale,
-        )
     return SessionConfig.from_job(job, execution=execution)
 
 
@@ -408,7 +404,7 @@ def run_fresh(
         if autoscale is not None and autoscale.enabled:
             # Poll from the platform's measurement callback: the stream
             # loop is single-threaded, so a rebalance can never race an
-            # ingest (poll() itself rate-limits to policy.check_every).
+            # ingest (poll() itself rate-limits to CHECK_EVERY seconds).
             scaler = session.autoscaler()
             world.platform.add_listener(lambda measurement: scaler.poll())
         outcome = session.stream()

@@ -24,8 +24,8 @@ import pytest
 from repro.api import (
     ExecutionPolicy,
     LocalizationSession,
+    PartitionMap,
     SessionConfig,
-    shard_of,
 )
 from repro.api.backends import BackendContext, InlineBackend, ShardedBackend
 from repro.core.observations import build_observations, first_path_only
@@ -105,11 +105,12 @@ class TestSessionConfig:
     def test_shard_routing_is_stable_and_granularity_free(self):
         # All granularities of one (URL, anomaly) pair must co-locate,
         # and the assignment must be identical across processes/runs.
-        assert shard_of("http://x.example/", "dns", 4) == shard_of(
-            "http://x.example/", "dns", 4
-        )
+        assert PartitionMap(4).shard_for(
+            "http://x.example/", "dns"
+        ) == PartitionMap(4).shard_for("http://x.example/", "dns")
+        placement = PartitionMap(4)
         spread = {
-            shard_of(f"http://site{i}.example/", "dns", 4)
+            placement.shard_for(f"http://site{i}.example/", "dns")
             for i in range(64)
         }
         assert spread == {0, 1, 2, 3}
@@ -521,7 +522,7 @@ class TestCheckpointRestore:
         path = session.checkpoint(tmp_path / "doc.ckpt")
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        assert document["format"] == 1
+        assert document["format"] == 2
         assert SessionConfig.from_dict(document["config"]) == TINY_CONFIG
         assert document["engine"]["problems"]
 

@@ -6,8 +6,8 @@ are pinned in ``tests/test_rebalance.py``; here we pin the data layer:
 
 - :class:`PartitionMap` — deterministic ring assignment, minimal
   movement on resize, override pin/unpin, epoch bumps, wire round-trip;
-- :class:`Autoscaler` — thresholds, bounds, cadence and cooldown, with
-  injected signals and clock;
+- :class:`Autoscaler` — the constant thresholds, bounds, cadence and
+  cooldown, with injected signals and clock;
 - :func:`retry_dial` — the one shared connect-retry loop (backoff,
   jitter bounds, deadline message, non-OSError passthrough).
 """
@@ -18,12 +18,16 @@ import pytest
 
 from repro.api.config import ExecutionPolicy
 from repro.api.placement import (
+    CHECK_EVERY,
+    COOLDOWN,
     DEFAULT_VNODES,
+    SCALE_DOWN_LAG,
+    SCALE_UP_LAG,
+    SCALE_UP_QUEUE,
     Autoscaler,
     AutoscalePolicy,
     PartitionMap,
     bucket_hash,
-    shard_of,
 )
 from repro.api.transport import TransportError, retry_dial
 
@@ -67,12 +71,12 @@ class TestPartitionMap:
             assert old.shard_for(*pair) == new.shard_for(*pair)
 
     def test_modulo_layout_would_move_a_majority(self):
-        # Contrast pin: the legacy layout reshuffles most pairs on the
-        # same resize — the reason shard_of no longer routes anything.
+        # Contrast pin: the hash-modulo layout reshuffles most pairs on
+        # the same resize — the reason placement is a ring.
         moved = sum(
             1
             for url, anomaly in PAIRS
-            if shard_of(url, anomaly, 4) != shard_of(url, anomaly, 5)
+            if bucket_hash(url, anomaly) % 4 != bucket_hash(url, anomaly) % 5
         )
         assert moved > len(PAIRS) // 2
 
@@ -121,12 +125,6 @@ class TestPartitionMap:
         with pytest.raises(ValueError, match="placement format"):
             PartitionMap.from_dict({"format": 99, "shards": 2, "epoch": 1})
 
-    def test_shard_of_is_the_hash_modulo(self):
-        for url, anomaly in PAIRS[:16]:
-            assert shard_of(url, anomaly, 4) == (
-                bucket_hash(url, anomaly) % 4
-            )
-
     def test_single_shard_owns_everything(self):
         assert PartitionMap(1).bucket_counts(PAIRS) == [len(PAIRS)]
 
@@ -154,8 +152,6 @@ class _FakeSession:
 
 def _scaler(session, signals, clock, **policy):
     policy.setdefault("enabled", True)
-    policy.setdefault("check_every", 0.0)
-    policy.setdefault("cooldown", 0.0)
     return Autoscaler(
         session, AutoscalePolicy(**policy), signals=signals, clock=clock
     )
@@ -184,9 +180,8 @@ class TestAutoscaler:
         session = _FakeSession(2)
         scaler = _scaler(
             session,
-            lambda: _load((0.0, 0), (45.0, 0)),
+            lambda: _load((0.0, 0), (SCALE_UP_LAG, 0)),
             lambda: 0.0,
-            scale_up_lag=30.0,
         )
         assert scaler.poll() == "up"
         assert session.calls == ["add"]
@@ -196,16 +191,28 @@ class TestAutoscaler:
         session = _FakeSession(2)
         scaler = _scaler(
             session,
-            lambda: _load((0.0, 7), (0.0, 0)),
+            lambda: _load((0.0, SCALE_UP_QUEUE), (0.0, 0)),
             lambda: 0.0,
-            scale_up_queue=6,
         )
         assert scaler.poll() == "up"
+
+    def test_holds_below_both_thresholds(self):
+        session = _FakeSession(2)
+        scaler = _scaler(
+            session,
+            lambda: _load(
+                (SCALE_UP_LAG - 1.0, SCALE_UP_QUEUE - 1), (0.0, 0)
+            ),
+            lambda: 0.0,
+        )
+        assert scaler.poll() is None
+        assert session.calls == []
 
     def test_scales_down_when_idle(self):
         session = _FakeSession(3)
         scaler = _scaler(
-            session, lambda: _load((0.0, 0), (0.5, 0), (0.0, 0)),
+            session,
+            lambda: _load((0.0, 0), (SCALE_DOWN_LAG, 0), (0.0, 0)),
             lambda: 0.0,
         )
         assert scaler.poll() == "down"
@@ -221,9 +228,7 @@ class TestAutoscaler:
         )
         assert scaler.poll() is None
         session = _FakeSession(1)
-        scaler = _scaler(
-            session, lambda: _load((0.0, 0)), lambda: 0.0, min_shards=1
-        )
+        scaler = _scaler(session, lambda: _load((0.0, 0)), lambda: 0.0)
         assert scaler.poll() is None
         assert session.calls == []
 
@@ -247,13 +252,12 @@ class TestAutoscaler:
             session,
             lambda: _load((99.0, 9), (99.0, 9)),
             lambda: now[0],
-            check_every=5.0,
             max_shards=8,
         )
         assert scaler.poll() == "up"
-        now[0] = 2.0
+        now[0] = CHECK_EVERY / 2
         assert scaler.poll() is None      # inside the check window
-        now[0] = 5.0
+        now[0] = COOLDOWN
         assert scaler.poll() == "up"
 
     def test_cooldown_spaces_actions(self):
@@ -263,12 +267,11 @@ class TestAutoscaler:
             session,
             lambda: _load((99.0, 9), (99.0, 9)),
             lambda: now[0],
-            cooldown=30.0,
         )
         assert scaler.poll() == "up"
-        now[0] = 10.0
-        assert scaler.poll() is None      # cooling down
-        now[0] = 31.0
+        now[0] = CHECK_EVERY
+        assert scaler.poll() is None      # checked, but cooling down
+        now[0] = COOLDOWN
         assert scaler.poll() == "up"
         assert session.calls == ["add", "add"]
 
@@ -289,22 +292,9 @@ class TestAutoscaleConfig:
         assert clone == policy
         assert clone.autoscale.max_shards == 5
 
-    def test_autoscale_needs_rebalance(self):
-        with pytest.raises(ValueError, match="rebalance"):
-            ExecutionPolicy(
-                backend="sharded",
-                shards=2,
-                rebalance=False,
-                autoscale=AutoscalePolicy(enabled=True),
-            )
-
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            AutoscalePolicy(min_shards=0)
-        with pytest.raises(ValueError):
-            AutoscalePolicy(min_shards=4, max_shards=2)
-        with pytest.raises(ValueError):
-            AutoscalePolicy(scale_up_lag=0.0)
+        with pytest.raises(ValueError, match="max_shards"):
+            AutoscalePolicy(max_shards=0)
 
 
 class _Uniform:

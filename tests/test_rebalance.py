@@ -219,16 +219,6 @@ class TestSessionVerbs:
         with pytest.raises(BackendError, match="last shard"):
             session.remove_shard()
 
-    def test_rebalance_disabled_gate(self, tiny_world, tiny_observations):
-        backend = _sharded_backend(
-            tiny_world, _policy(2, rebalance=False)
-        )
-        for observation in tiny_observations[:32]:
-            backend.ingest_observation(observation)
-        with pytest.raises(BackendError, match="rebalance"):
-            backend.rebalance(backend.placement.with_shards(3))
-        backend.close()
-
     def test_inline_session_has_no_placement(self, tiny_world):
         session = LocalizationSession.for_world(
             tiny_world, SessionConfig(preset="tiny", seed=7)

@@ -14,8 +14,8 @@ What this module pins:
   any cursor and never see a duplicate, even across their own
   reconnects;
 - **admission + health** — malformed campaign ids, token mismatches,
-  config-less attaches, and a full daemon are refused with one error
-  frame; a tenant whose shard fleet dies (recovery off) flips
+  config-less attaches, a full daemon and an old-format state file are
+  refused; a tenant whose shard fleet dies past its recovery budget flips
   ``/healthz`` to 503 with tenant-labelled reasons while other tenants
   stay usable; ``/statusz`` carries the per-tenant watermark rollup.
 """
@@ -29,6 +29,7 @@ import urllib.request
 import pytest
 
 from repro.api import ExecutionPolicy, LocalizationSession, SessionConfig
+from repro.api import backends as backends_module
 from repro.api.transport import TransportError
 from repro.serve import (
     AdmissionPolicy,
@@ -40,7 +41,12 @@ from repro.serve import (
     stream_campaign,
 )
 from repro.serve.server import healthz_snapshot
-from repro.serve.tenants import Tenant, state_path
+from repro.serve.tenants import (
+    SERVE_STATE_FORMAT,
+    Tenant,
+    TenantRegistry,
+    state_path,
+)
 
 
 def _config(seed=7, **overrides):
@@ -191,7 +197,8 @@ class TestByteIdentity:
         """A client without a config joins a campaign another client
         created, adopts its anomalies and chunk size from the attach
         reply, and ingests the rest of the feed: the drain equals the
-        batch run on the whole feed."""
+        batch run on the whole feed, conversion tallies included (each
+        client's ride its own ingest frames)."""
         creator = ServeClient(
             daemon.address,
             "joined",
@@ -209,9 +216,6 @@ class TestByteIdentity:
         for measurement in tiny_dataset[half:]:
             joiner.ingest_measurement(measurement)   # attaches first
         assert joiner._chunk_size == 16
-        # Conversion tallies travel with the drain, so the joiner ships
-        # the creator's too.
-        joiner.discard.merge(creator.discard)
         result = joiner.drain()
         joiner.close()
         assert joiner.reconnects == 0
@@ -399,6 +403,31 @@ class TestAdmission:
         finally:
             handle.stop()
 
+    def test_old_checkpoint_format_state_file_is_refused(
+        self, tmp_path, tiny_world, tiny_dataset
+    ):
+        """A tenant state file whose embedded checkpoint is in another
+        format fails to resume with a message naming both formats."""
+        session = LocalizationSession.for_world(tiny_world, _config())
+        for measurement in tiny_dataset[:20]:
+            session.ingest_measurement(measurement)
+        checkpoint = tmp_path / "old.ckpt"
+        session.checkpoint(checkpoint)
+        session.close()
+        document = json.loads(checkpoint.read_text())
+        document["format"] = 1
+        document["serve"] = {
+            "format": SERVE_STATE_FORMAT,
+            "campaign": "old",
+            "resume_token": "0000000000000000",
+            "applied_seq": 3,
+            "event_seq": 0,
+        }
+        path = state_path(tmp_path, "old")
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="format 1 .*format 2"):
+            TenantRegistry().resume(path)
+
     def test_connect_failure_is_one_actionable_line(self):
         with pytest.raises(TransportError) as err:
             dial_daemon("127.0.0.1:9", retry_for=0.05)
@@ -425,18 +454,18 @@ class TestHealthPlane:
         assert tenant["queue_depth"] == 0
 
     def test_healthz_flips_503_when_a_tenant_dies(
-        self, tiny_world, tiny_dataset
+        self, tiny_world, tiny_dataset, monkeypatch
     ):
-        """A sharded tenant with recovery off loses a worker: its apply
-        fails, /healthz goes unhealthy with tenant-labelled reasons,
-        and a healthy tenant on the same daemon keeps working."""
+        """A sharded tenant with no recovery attempts left loses a
+        worker: its apply fails, /healthz goes unhealthy with
+        tenant-labelled reasons, and a healthy tenant on the same daemon
+        keeps working."""
+        monkeypatch.setattr(backends_module, "RECOVERY_ATTEMPTS", 0)
         handle = start_in_thread(metrics_port=0)
         client = ServeClient(
             handle.address,
             "doomed",
-            config=_config(
-                backend="sharded", shards=2, chunk_size=16, recovery=False
-            ),
+            config=_config(backend="sharded", shards=2, chunk_size=16),
             ip2as=tiny_world.ip2as,
         )
         try:
@@ -451,7 +480,7 @@ class TestHealthPlane:
                     0
                 ].process.kill()
             ).result()
-            with pytest.raises(ServeError, match="recovery is disabled"):
+            with pytest.raises(ServeError, match="kept failing"):
                 for measurement in tiny_dataset[len(tiny_dataset) // 2 :]:
                     client.ingest_measurement(measurement)
                 client.flush()

@@ -12,7 +12,8 @@ Three layers under test:
 - **dead-shard recovery** — killing a worker mid-stream respawns it from
   its checkpoint slice plus the parent's replay log, the drain stays
   byte-identical, and subscribers see each verdict event exactly once
-  (the shard-local sequence dedup).
+  (the shard-local sequence dedup); a shard that keeps dying fails the
+  stream once the recovery budget is spent.
 """
 
 from __future__ import annotations
@@ -28,11 +29,16 @@ import time
 import pytest
 
 from repro.anomaly import Anomaly
-from repro.api import ExecutionPolicy, LocalizationSession, SessionConfig
+from repro.api import (
+    AutoscalePolicy,
+    ExecutionPolicy,
+    LocalizationSession,
+    SessionConfig,
+)
+from repro.api import backends as backends_module
 from repro.api import transport as transport_module
 from repro.api import wire
 from repro.api.backends import (
-    MAX_OUTSTANDING,
     BackendContext,
     BackendError,
     ShardedBackend,
@@ -242,8 +248,6 @@ class TestTransportPlumbing:
                 shard_hosts=("127.0.0.1:1",),  # one address, two shards
             )
         with pytest.raises(ValueError):
-            ExecutionPolicy(shard_checkpoint_every=-1)
-        with pytest.raises(ValueError):
             ExecutionPolicy(connect_timeout=0)
 
     def test_policy_wire_round_trip(self):
@@ -252,11 +256,23 @@ class TestTransportPlumbing:
             shards=2,
             transport="socket",
             shard_hosts=("0.0.0.0:7100", "0.0.0.0:7101"),
+            chunk_size=64,
+            late_policy="error",
             connect_timeout=12.5,
-            recovery=False,
-            shard_checkpoint_every=5,
+            autoscale=AutoscalePolicy(enabled=False, max_shards=3),
         )
         payload = json.loads(json.dumps(policy.to_dict()))
+        assert sorted(payload) == [
+            "autoscale",
+            "backend",
+            "chunk_size",
+            "connect_timeout",
+            "late_policy",
+            "shard_hosts",
+            "shards",
+            "transport",
+        ]
+        assert payload["autoscale"] == {"enabled": False, "max_shards": 3}
         assert ExecutionPolicy.from_dict(payload) == policy
 
 
@@ -365,10 +381,9 @@ class TestDeadShardRecovery:
         "overrides",
         [
             {"chunk_size": 32},
-            {"chunk_size": 16, "shard_checkpoint_every": 2},
             {"chunk_size": 32, "transport": "socket"},
         ],
-        ids=["pipe-genesis", "pipe-snapshot-slices", "socket"],
+        ids=["pipe-genesis", "socket"],
     )
     def test_kill_mid_stream_recovers(
         self, tiny_world, tiny_dataset, tiny_batch, inline_events, overrides
@@ -390,12 +405,6 @@ class TestDeadShardRecovery:
             session.ingest_measurement(measurement)
             if index == half:
                 worker = session.backend._ensure_workers()[0]
-                if overrides.get("shard_checkpoint_every"):
-                    # The periodic snapshots must actually have run: the
-                    # recovery below starts from a checkpoint slice, not
-                    # from the stream's beginning.
-                    assert worker.baseline is not None
-                    assert len(worker.log) <= 3 * MAX_OUTSTANDING
                 worker.process.kill()
                 time.sleep(0.05)
         result = session.drain()
@@ -420,14 +429,17 @@ class TestDeadShardRecovery:
         assert backend.drain().to_dict() == reference.to_dict()
         assert backend.recoveries >= 1
 
-    def test_recovery_disabled_raises(self, tiny_world, tiny_observations):
-        backend = _sharded_backend(
-            tiny_world, _policy(2, chunk_size=16, recovery=False)
-        )
+    def test_exhausted_recovery_budget_raises(
+        self, tiny_world, tiny_observations, monkeypatch
+    ):
+        """With no rebuild attempts left, a dead shard fails the stream
+        instead of respawning."""
+        monkeypatch.setattr(backends_module, "RECOVERY_ATTEMPTS", 0)
+        backend = _sharded_backend(tiny_world, _policy(2, chunk_size=16))
         for observation in tiny_observations[:64]:
             backend.ingest_observation(observation)
         backend._ensure_workers()[0].process.kill()
-        with pytest.raises(BackendError, match="recovery is disabled"):
+        with pytest.raises(BackendError, match="kept failing"):
             for observation in tiny_observations[64:]:
                 backend.ingest_observation(observation)
             backend.drain()

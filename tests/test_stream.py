@@ -506,6 +506,30 @@ class TestCli:
         )
         out = capsys.readouterr().out
         assert "statuses + censors match" in out
+        # The runner's --store goes first, so one among the stream
+        # flags wins.
+        assert (
+            main(
+                [
+                    "--store", str(tmp_path / "elsewhere"), "stream",
+                    "--store", store, "--replay", "s", "--events", "0",
+                ]
+            )
+            == 0
+        )
+        assert "statuses + censors match" in capsys.readouterr().out
+
+    def test_runner_stream_forwards_to_repro_stream(self, capsys):
+        from repro.runner.cli import main as runner_main
+        from repro.stream.cli import main as stream_main
+
+        flags = ["--preset", "tiny", "--granularities", "day", "--json"]
+        assert runner_main(["stream", *flags]) == 0
+        forwarded = capsys.readouterr().out
+        assert stream_main(flags) == 0
+        direct = capsys.readouterr().out
+        assert json.loads(forwarded)["problems"] > 0
+        assert forwarded == direct
 
 
 class TestTimeToLocalization:
