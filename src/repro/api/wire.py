@@ -91,7 +91,8 @@ only ``enabled`` and ``max_shards``.  A format-6 config would fail the
 constructor with a ``TypeError``.  The serve ``ingest`` frame also
 gained a trailing element: the client's conversion tallies
 (:func:`repro.stream.checkpoint.discard_to_dict`, or ``None``) gathered
-since its previous ``ingest`` or ``drain`` frame.  The daemon merges
+since its previous ``ingest`` or ``drain`` frame; an ``ingest`` frame
+may carry no records when only tallies are pending.  The daemon merges
 them once per applied sequence, so a campaign fed by several clients
 drains with every client's tallies.
 """

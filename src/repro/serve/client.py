@@ -81,7 +81,10 @@ class ServeClient:
 
     Conversion tallies ride the sequenced frames: each ``ingest`` or
     ``drain`` frame carries the tallies gathered since this client's
-    previous one, and ``discard`` sums the tallies already shipped.
+    previous one.  :meth:`flush` ships a record-less ``ingest`` frame
+    when only tallies are pending, so a client that leaves without
+    draining still delivers every tally.  ``discard`` counts every
+    conversion this client has done, shipped or not.
     """
 
     def __init__(
@@ -111,7 +114,7 @@ class ServeClient:
         self.on_event = on_event
         self.retry_for = retry_for
         self.window = window
-        self.discard = DiscardStats()
+        self._shipped = DiscardStats()
         self._unsent = DiscardStats()
         self._conversion_cache: Dict = {}
         self._transport: Optional[SocketTransport] = None
@@ -294,24 +297,32 @@ class ServeClient:
         if len(self._pending) >= self._chunk_size:
             self.flush()
 
+    @property
+    def discard(self) -> DiscardStats:
+        """Every conversion tally of this client, shipped or not."""
+        stats = DiscardStats()
+        stats.merge(self._shipped)
+        stats.merge(self._unsent)
+        return stats
+
     def _take_tallies(self) -> Optional[Dict]:
-        """The tallies gathered since the last frame, moved into
-        ``discard``; None when nothing was converted since."""
+        """The tallies gathered since the last frame, marked shipped;
+        None when nothing was converted since."""
         unsent = self._unsent
         if not unsent.total:
             return None
-        self.discard.merge(unsent)
+        self._shipped.merge(unsent)
         self._unsent = DiscardStats()
         return discard_to_dict(unsent)
 
     def flush(self) -> None:
-        """Ship the pending observations as one sequenced chunk."""
-        if not self._pending:
+        """Ship the pending observations and tallies as one sequenced
+        chunk (records may be empty when only tallies are pending)."""
+        tallies = self._take_tallies()
+        if not self._pending and tallies is None:
             return
         self._seq += 1
-        self._post(
-            ("ingest", self._seq, self._pending, self._take_tallies())
-        )
+        self._post(("ingest", self._seq, self._pending, tallies))
         self._pending = []
 
     def advance(self, timestamp: int) -> None:
@@ -337,7 +348,8 @@ class ServeClient:
         """
         if self.result is not None:
             return self.result
-        self.flush()
+        if self._pending:
+            self.flush()
         self._seq += 1
         self._post(("drain", self._seq, self._take_tallies()))
         while self.result is None:

@@ -246,18 +246,25 @@ class TestAutoscaler:
         assert scaler.poll() is None
 
     def test_check_every_rate_limits(self):
+        # The first poll sees a quiet fleet and takes no action, so no
+        # cooldown runs: only the check window can hold the next poll.
         session = _FakeSession(2)
         now = [0.0]
+        busy = [False]
         scaler = _scaler(
             session,
-            lambda: _load((99.0, 9), (99.0, 9)),
+            lambda: _load(
+                *[(99.0, 9) if busy[0] else (SCALE_UP_LAG - 1.0, 1)] * 2
+            ),
             lambda: now[0],
             max_shards=8,
         )
-        assert scaler.poll() == "up"
+        assert scaler.poll() is None
+        busy[0] = True
         now[0] = CHECK_EVERY / 2
         assert scaler.poll() is None      # inside the check window
-        now[0] = COOLDOWN
+        assert session.calls == []
+        now[0] = CHECK_EVERY
         assert scaler.poll() == "up"
 
     def test_cooldown_spaces_actions(self):

@@ -31,6 +31,7 @@ import pytest
 from repro.api import ExecutionPolicy, LocalizationSession, SessionConfig
 from repro.api import backends as backends_module
 from repro.api.transport import TransportError
+from repro.core.observations import observations_of
 from repro.serve import (
     AdmissionPolicy,
     ServeClient,
@@ -219,6 +220,48 @@ class TestByteIdentity:
         result = joiner.drain()
         joiner.close()
         assert joiner.reconnects == 0
+        assert result.to_dict(
+            include_observations=True
+        ) == tiny_batch.to_dict(include_observations=True)
+
+    def test_tallies_of_a_trailing_discard_ship_without_drain(
+        self, daemon, tiny_world, tiny_dataset, tiny_batch
+    ):
+        """A client whose last measurements are all discarded by
+        conversion, and which leaves without draining, still delivers
+        their tallies: its flush ships a record-less ingest frame."""
+        config = _config(chunk_size=16)
+        anomalies = config.pipeline_config().anomalies
+        discarded = [
+            m for m in tiny_dataset
+            if not observations_of(m, tiny_world.ip2as, anomalies=anomalies)
+        ]
+        assert discarded, "the tiny feed must discard something"
+        dropped = {id(m) for m in discarded}
+        kept = [m for m in tiny_dataset if id(m) not in dropped]
+        half = len(kept) // 2
+        creator = ServeClient(
+            daemon.address, "trailing", config=config, ip2as=tiny_world.ip2as
+        )
+        creator.attach()
+        for measurement in kept[:half]:
+            creator.ingest_measurement(measurement)
+        creator.flush()
+        for measurement in discarded:      # tallies only, no records
+            creator.ingest_measurement(measurement)
+        assert not creator._pending
+        creator.flush()
+        creator.wait_for_acks()
+        creator.close()
+        assert creator.discard.total == half + len(discarded)
+        joiner = ServeClient(
+            daemon.address, "trailing", ip2as=tiny_world.ip2as
+        )
+        for measurement in kept[half:]:
+            joiner.ingest_measurement(measurement)
+        result = joiner.drain()
+        joiner.close()
+        assert result.discard_stats == tiny_batch.discard_stats
         assert result.to_dict(
             include_observations=True
         ) == tiny_batch.to_dict(include_observations=True)
