@@ -62,10 +62,6 @@ class TimeToLocalization:
             engine.identifications, engine.stats.measurements
         )
 
-    @property
-    def identified_asns(self) -> List[int]:
-        return sorted(self.first_by_asn)
-
     def median_measurements(self) -> Optional[float]:
         """Median measurements-to-confirmation over identified censors."""
         counts = sorted(

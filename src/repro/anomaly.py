@@ -40,11 +40,6 @@ class Anomaly(enum.Enum):
         """The five ICLab anomaly types, in the paper's Figure-1b order."""
         return (cls.BLOCK, cls.DNS, cls.RST, cls.SEQ, cls.TTL)
 
-    @classmethod
-    def extended(cls) -> tuple["Anomaly", ...]:
-        """The five ICLab types plus the future-work extensions."""
-        return cls.all() + (cls.THROTTLE, cls.BRIDGE)
-
     def __str__(self) -> str:
         return self.value
 

@@ -990,7 +990,6 @@ class ShardedBackend(ExecutionBackend):
                 self._collect_placement, key="sharded-placement"
             )
         self._merged_solve_stats: Optional[SolveStats] = None
-        self._worker_telemetry: List[Dict[str, Any]] = []
 
     def _collect_shard_health(self, registry: MetricsRegistry) -> None:
         """Snapshot-time liveness: how long each shard has gone without
@@ -1200,13 +1199,6 @@ class ShardedBackend(ExecutionBackend):
                 "repro_placement_buckets", {"shard": str(index)}
             ).set(0)
         worker.close(wait=False)
-
-    @property
-    def listen_addresses(self) -> List[str]:
-        """The bound per-shard socket addresses (socket transport only)."""
-        if self._listeners is None:
-            return []
-        return [listener.address for listener in self._listeners]
 
     def close(self, wait: bool = True) -> None:
         if self._workers is not None:
@@ -1813,17 +1805,11 @@ class ShardedBackend(ExecutionBackend):
         worker_spans = telemetry.get("spans")
         if worker_spans and self._spans is not None:
             self._spans.merge(worker_spans, track=shard_track(index))
-        self._worker_telemetry.append({"shard": index, **telemetry})
 
     @property
     def solve_stats(self) -> Optional[SolveStats]:
         """Merged worker solve-cache counters; populated at drain."""
         return self._merged_solve_stats
-
-    @property
-    def worker_telemetry(self) -> List[Dict[str, Any]]:
-        """Raw per-shard drain telemetry dicts (diagnostics only)."""
-        return list(self._worker_telemetry)
 
     def run_dataset(
         self,

@@ -22,7 +22,8 @@ from repro.util.fsio import atomic_write_bytes
 # Format 2: the embedded ExecutionPolicy lost its workers, timeout,
 # recovery, rebalance and shard_checkpoint_every fields, and its
 # autoscale block keeps only enabled and max_shards.
-CHECKPOINT_FORMAT = 2
+# Format 3: the embedded SessionConfig lost its optimized field.
+CHECKPOINT_FORMAT = 3
 
 
 def write_checkpoint(

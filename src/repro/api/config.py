@@ -130,7 +130,7 @@ class SessionConfig:
 
     The scenario/pipeline fields mirror :class:`JobSpec` one-for-one
     (``None`` overrides mean "use the preset's value"), plus the
-    pipeline's ``optimized`` switch and the :class:`ExecutionPolicy`.
+    :class:`ExecutionPolicy`.
     Validation is delegated to the ``JobSpec`` built in ``__post_init__``,
     so the two surfaces can never drift on what a legal workload is.
     """
@@ -142,7 +142,6 @@ class SessionConfig:
     anomalies: Tuple[str, ...] = ()  # () → the five ICLab anomalies
     solution_cap: int = DEFAULT_SOLUTION_CAP
     skip_anomaly_free: bool = False
-    optimized: bool = True
     # scenario overrides
     duration_days: Optional[int] = None
     num_urls: Optional[int] = None
@@ -194,10 +193,8 @@ class SessionConfig:
         return self.job_spec().scenario_config()
 
     def pipeline_config(self) -> PipelineConfig:
-        """The solve knobs, including the ``optimized`` switch."""
-        return dataclasses.replace(
-            self.job_spec().pipeline_config(), optimized=self.optimized
-        )
+        """The solve knobs."""
+        return self.job_spec().pipeline_config()
 
     @property
     def without_churn(self) -> bool:

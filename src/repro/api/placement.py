@@ -44,7 +44,6 @@ from typing import (
     Iterable,
     List,
     Optional,
-    Set,
     Tuple,
 )
 
@@ -362,14 +361,6 @@ class Autoscaler:
         return None
 
 
-def pairs_of_state(problems: Iterable[Dict[str, Any]]) -> Set[Pair]:
-    """The distinct routing pairs present in checkpoint problem entries."""
-    return {
-        (entry["key"]["url"], entry["key"]["anomaly"])
-        for entry in problems
-    }
-
-
 __all__ = [
     "CHECK_EVERY",
     "COOLDOWN",
@@ -384,5 +375,4 @@ __all__ = [
     "Pair",
     "PartitionMap",
     "bucket_hash",
-    "pairs_of_state",
 ]

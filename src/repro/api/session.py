@@ -307,8 +307,8 @@ class LocalizationSession:
     ) -> FlightRecorder:
         """Arm the crash flight recorder for this process.
 
-        A bounded ring of recent wire-frame headers, log records, and
-        metric deltas, installed process-wide (the transport hooks and
+        A bounded ring of recent wire-frame headers and log records,
+        installed process-wide (the transport hooks and
         the log plane find it without plumbing).  The parent dumps it
         to ``directory`` (default ``.flight-recorder``) on worker death;
         shard workers arm their own ring and dump on unhandled engine

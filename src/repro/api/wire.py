@@ -95,6 +95,12 @@ since its previous ``ingest`` or ``drain`` frame; an ``ingest`` frame
 may carry no records when only tallies are pending.  The daemon merges
 them once per applied sequence, so a campaign fed by several clients
 drains with every client's tallies.
+
+Format 8 shrank the :class:`~repro.api.config.SessionConfig` dict that
+``hello`` and ``attach`` frames carry: its ``optimized`` field is gone,
+because every pipeline run now solves through the shared solve cache.
+A format-7 config would fail the constructor with a ``TypeError``; the
+bump makes the two builds refuse each other at the exchange instead.
 """
 
 from __future__ import annotations
@@ -110,7 +116,7 @@ from repro.stream.events import VerdictEvent, VerdictKind
 from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 7
+WIRE_FORMAT = 8
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 

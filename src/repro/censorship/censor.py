@@ -236,13 +236,6 @@ class CensorMiddlebox(Middlebox):
         technique = self.technique_for(domain)
         return technique.anomalies(mimics_ttl=self.mimics_ttl_for(domain))
 
-    def all_possible_anomalies(self) -> FrozenSet[Anomaly]:
-        """Union of anomaly signatures over all of this censor's techniques."""
-        out: set = set()
-        for technique in self.techniques:
-            out |= technique.anomalies()
-        return frozenset(out)
-
     # -- middlebox interface -------------------------------------------------
 
     def on_dns_query(self, context: SessionContext) -> Optional[DnsInjection]:

@@ -122,22 +122,6 @@ class CensorDeployment:
             return False
         return anomaly in censor.expected_anomalies(domain)
 
-    def middleboxes_for_path(
-        self, as_path: Sequence[int]
-    ) -> List[Tuple[CensorMiddlebox, int]]:
-        """Censors sitting on an AS path, paired with *AS-level* position.
-
-        The session simulator needs router-hop positions; callers translate
-        AS positions via the router path.  Exposed for tests and for the
-        platform's fast path.
-        """
-        out: List[Tuple[CensorMiddlebox, int]] = []
-        for position, asn in enumerate(as_path):
-            censor = self.censors_by_asn.get(asn)
-            if censor is not None:
-                out.append((censor, position))
-        return out
-
 
 def default_profiles(
     censoring_countries: Sequence[str],

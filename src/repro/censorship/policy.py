@@ -70,14 +70,6 @@ class CensorshipPolicy:
         return list(self._epochs)
 
     @property
-    def ever_blocked(self) -> FrozenSet[Category]:
-        """Categories blocked during at least one epoch."""
-        out: set = set()
-        for epoch in self._epochs:
-            out |= epoch.blocked
-        return frozenset(out)
-
-    @property
     def changes(self) -> int:
         """Number of times the blocklist actually changed."""
         return sum(

@@ -44,7 +44,14 @@ from repro.util.timeutil import Granularity, TimeWindow
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Pipeline knobs."""
+    """Pipeline knobs.
+
+    Every run solves through one :class:`ProblemSolveCache`, so
+    structurally identical CNFs are solved once and propagation-decided
+    problems skip solver construction.
+    :meth:`TomographyProblem.solve_reference` is the per-problem oracle
+    the tests compare that path against.
+    """
 
     granularities: Tuple[Granularity, ...] = (
         Granularity.DAY,
@@ -57,11 +64,6 @@ class PipelineConfig:
     # ^ when True, problems without any detected anomaly (whose solution is
     #   trivially the unique all-False assignment) are not solved; Figure 1
     #   counts them, so the default keeps them.
-    optimized: bool = True
-    # ^ when True (the default), structurally identical CNFs are solved
-    #   once per run and propagation-decided problems skip solver
-    #   construction.  False forces the reference per-problem solve —
-    #   slower, identical output; the determinism guard runs both.
 
 
 @dataclass
@@ -81,24 +83,6 @@ class PipelineResult:
         for solution in self.solutions:
             counts[solution.status] += 1
         return counts
-
-    def solutions_for(
-        self,
-        granularity: Optional[Granularity] = None,
-        anomaly: Optional[Anomaly] = None,
-        censored_only: bool = False,
-    ) -> List[ProblemSolution]:
-        """Filter solutions by granularity / anomaly / censoredness."""
-        out = []
-        for solution in self.solutions:
-            if granularity is not None and solution.key.granularity != granularity:
-                continue
-            if anomaly is not None and solution.key.anomaly != anomaly:
-                continue
-            if censored_only and not solution.had_anomaly:
-                continue
-            out.append(solution)
-        return out
 
     @property
     def identified_censor_asns(self) -> List[int]:
@@ -359,8 +343,8 @@ class LocalizationPipeline:
         self.config = config
         self.timer = timer
         self.last_solve_stats: Optional[SolveStats] = None
-        # ^ counters from the most recent run (perf reports, regression
-        #   tests); None before any run or after a non-optimized run.
+        # ^ the solve cache's counters from the most recent run (perf
+        #   reports, regression tests); None before any run.
 
     # -- public entry points ---------------------------------------------
 
@@ -413,7 +397,7 @@ class LocalizationPipeline:
             # The problems were grouped by this very pipeline, so per-problem
             # membership re-validation is skipped; external callers of
             # TomographyProblem still get the checks.
-            cache = ProblemSolveCache() if self.config.optimized else None
+            cache = ProblemSolveCache()
             solutions: List[ProblemSolution] = []
             with maybe_stage(timer, "pipeline.solve"):
                 for key, group in groups.items():
@@ -427,12 +411,9 @@ class LocalizationPipeline:
                         solution_cap=self.config.solution_cap,
                         validate=False,
                     )
-                    if cache is not None:
-                        solutions.append(problem.solve(cache))
-                    else:
-                        solutions.append(problem.solve_reference())
-            self.last_solve_stats = cache.stats if cache is not None else None
-            if timer is not None and cache is not None:
+                    solutions.append(problem.solve(cache))
+            self.last_solve_stats = cache.stats
+            if timer is not None:
                 for name, value in cache.stats.as_dict().items():
                     timer.count(f"solve.{name}", value)
             with maybe_stage(timer, "pipeline.reports"):

@@ -113,25 +113,8 @@ def split_observations(
     }
 
 
-def interesting_groups(
-    groups: Dict[ProblemKey, List[Observation]],
-) -> Dict[ProblemKey, List[Observation]]:
-    """Only the groups containing at least one detected anomaly.
-
-    Anomaly-free groups are trivially satisfiable with the all-False
-    unique solution; filtering them is an optimization knob for analyses
-    that only care about censored problems.
-    """
-    return {
-        key: observations
-        for key, observations in groups.items()
-        if any(observation.detected for observation in observations)
-    }
-
-
 __all__ = [
     "ProblemKey",
     "window_start",
     "split_observations",
-    "interesting_groups",
 ]

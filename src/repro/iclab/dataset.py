@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, TextIO, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.anomaly import Anomaly
 from repro.iclab.measurement import Measurement
@@ -57,20 +56,12 @@ class Dataset:
 
     # -- views ---------------------------------------------------------------
 
-    def for_url(self, url: str) -> List[Measurement]:
-        """All measurements of one URL."""
-        return [m for m in self._measurements if m.url == url]
-
     def urls(self) -> List[str]:
         """Distinct URLs in first-appearance order."""
         seen: Dict[str, None] = {}
         for measurement in self._measurements:
             seen.setdefault(measurement.url, None)
         return list(seen)
-
-    def in_window(self, start: int, end: int) -> List[Measurement]:
-        """Measurements with ``start <= timestamp < end``."""
-        return [m for m in self._measurements if start <= m.timestamp < end]
 
     def pairs(self) -> List[Tuple[int, str]]:
         """Distinct (vantage ASN, url) pairs."""
@@ -111,24 +102,6 @@ class Dataset:
             measurements=len(self._measurements),
             anomaly_counts=counts,
         )
-
-    # -- persistence --------------------------------------------------------
-
-    def dump_jsonl(self, stream: TextIO) -> None:
-        """Write one JSON document per measurement."""
-        for measurement in self._measurements:
-            stream.write(json.dumps(measurement.to_dict()))
-            stream.write("\n")
-
-    @classmethod
-    def load_jsonl(cls, stream: TextIO) -> "Dataset":
-        """Read a dataset written by :meth:`dump_jsonl`."""
-        dataset = cls()
-        for line in stream:
-            line = line.strip()
-            if line:
-                dataset.add(Measurement.from_dict(json.loads(line)))
-        return dataset
 
 
 __all__ = ["Dataset", "DatasetStats"]

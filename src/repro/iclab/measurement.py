@@ -65,11 +65,6 @@ class Measurement:
         """Whether the given anomaly was detected in this test."""
         return self.anomalies[anomaly]
 
-    @property
-    def any_anomaly(self) -> bool:
-        """Whether any detector fired."""
-        return any(self.anomalies.values())
-
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict:

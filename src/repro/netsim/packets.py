@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 DEFAULT_TTL = 64
-WINDOWS_TTL = 128
 
 
 class TcpFlags(enum.IntFlag):
@@ -173,10 +172,6 @@ class PacketCapture:
                 return packet
         return None
 
-    def http_responses(self) -> List[HttpResponse]:
-        """All HTTP response payloads, in arrival order."""
-        return [p.payload for p in self.server_packets() if p.payload is not None]
-
 
 __all__ = [
     "TcpFlags",
@@ -186,5 +181,4 @@ __all__ = [
     "DnsResponse",
     "PacketCapture",
     "DEFAULT_TTL",
-    "WINDOWS_TTL",
 ]

@@ -58,10 +58,6 @@ class RouterPath:
                 return hop.hop_index + 1
         raise ValueError(f"AS{asn} is not on this path")
 
-    def routers_of(self, asn: int) -> List[RouterHop]:
-        """All routers belonging to ``asn`` on this path."""
-        return [hop for hop in self.hops if hop.asn == asn]
-
 
 def expand_as_path(
     as_path: Sequence[int],

@@ -176,9 +176,6 @@ _LINE = re.compile(
     r'^([a-zA-Z_:][a-zA-Z0-9_:]*)'
     r'(\{(?:[^"{}]|"(?:[^"\\]|\\.)*")*\})?\s+(\S+)$'
 )
-_LABEL_PAIR = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"'
-)
 
 
 def escape_label_value(value: str) -> str:
@@ -201,14 +198,6 @@ def unescape_label_value(value: str) -> str:
             out.append(ch)
             index += 1
     return "".join(out)
-
-
-def parse_label_block(block: str) -> Dict[str, str]:
-    """``{a="x",b="y"}`` → ``{"a": "x", "b": "y"}``, unescaped."""
-    return {
-        key: unescape_label_value(raw)
-        for key, raw in _LABEL_PAIR.findall(block)
-    }
 
 
 def sanitize_name(name: str) -> str:
@@ -719,7 +708,6 @@ __all__ = [
     "escape_label_value",
     "health_document",
     "health_problems",
-    "parse_label_block",
     "parse_prometheus",
     "placement_status",
     "render_prometheus",

@@ -95,18 +95,9 @@ def bound(**values: Any) -> Iterator[None]:
         _BOUND.reset(token)
 
 
-def bound_fields() -> Dict[str, Any]:
-    """The currently bound context (later bindings shadow earlier)."""
-    return dict(_BOUND.get())
-
-
 def set_active_trace(trace_id: Optional[int]) -> None:
     """Record the trace id of the span currently in flight (Tracer)."""
     _TRACE.set(trace_id)
-
-
-def active_trace() -> Optional[int]:
-    return _TRACE.get()
 
 
 def record_payload(record: logging.LogRecord) -> Dict[str, Any]:
@@ -223,11 +214,9 @@ __all__ = [
     "LEVELS",
     "JsonFormatter",
     "TextFormatter",
-    "active_trace",
     "add_log_arguments",
     "bind",
     "bound",
-    "bound_fields",
     "configure",
     "configure_from_args",
     "fields",

@@ -4,10 +4,9 @@ Logs narrate, metrics aggregate — but when a shard worker dies the
 question is "what *exactly* crossed the wire just before?".  A
 :class:`FlightRecorder` is one bounded ring buffer per process holding
 the most recent wire-frame headers (direction, size, shard — never
-payloads), structured log records, and metric counter deltas, in one
-interleaved sequence.  It costs a deque append per event until the
-moment it matters, then :meth:`dump` freezes the ring into a
-timestamped directory as JSON.
+payloads) and structured log records, in one interleaved sequence.
+It costs a deque append per event until the moment it matters, then
+:meth:`dump` freezes the ring into a timestamped directory as JSON.
 
 Dump triggers, wired by the session/CLI layers:
 
@@ -43,7 +42,7 @@ _CURRENT: Optional["FlightRecorder"] = None
 
 
 class FlightRecorder:
-    """A bounded ring of frame headers, log records, and metric deltas."""
+    """A bounded ring of frame headers and log records."""
 
     def __init__(
         self,
@@ -54,7 +53,6 @@ class FlightRecorder:
         self.clock = clock if clock is not None else time.time
         self._entries: Deque[Dict[str, Any]] = deque(maxlen=capacity)
         self._seq = 0
-        self._metric_marks: Dict[str, float] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -94,24 +92,6 @@ class FlightRecorder:
                 "fields": record_payload(record),
             },
         )
-
-    def note_metrics(self, snapshot: Dict[str, Any]) -> None:
-        """Counter deltas since the previous snapshot this recorder saw."""
-        for series in snapshot.get("counters", []):
-            key = f"{series['name']}{sorted(series['labels'].items())}"
-            previous = self._metric_marks.get(key, 0.0)
-            delta = series["value"] - previous
-            self._metric_marks[key] = series["value"]
-            if delta:
-                self._append(
-                    "metric",
-                    {
-                        "name": series["name"],
-                        "labels": dict(series["labels"]),
-                        "delta": delta,
-                        "value": series["value"],
-                    },
-                )
 
     # -- consumers ---------------------------------------------------------
 

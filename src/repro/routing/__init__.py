@@ -18,7 +18,6 @@ from repro.routing.bgp import RouteComputer, RoutingTable
 from repro.routing.churn import ChurnConfig, PairSchedule, PathOracle
 from repro.routing.policy import (
     RouteClass,
-    is_valley_free,
     route_class_sequence,
 )
 
@@ -26,7 +25,6 @@ __all__ = [
     "RouteComputer",
     "RoutingTable",
     "RouteClass",
-    "is_valley_free",
     "route_class_sequence",
     "ChurnConfig",
     "PairSchedule",

@@ -111,11 +111,6 @@ class PairSchedule:
         """The AS path active at ``timestamp``."""
         return self.alternatives[self.index_at(timestamp)]
 
-    @property
-    def ever_churns(self) -> bool:
-        """Whether the pair has at least one switch scheduled."""
-        return bool(self.switch_times)
-
     def distinct_paths_in(self, start: int, end: int) -> List[ASPath]:
         """Distinct paths active at any point of ``[start, end)``."""
         seen: Dict[ASPath, None] = {self.path_at(start): None}
@@ -280,10 +275,6 @@ class PathOracle:
             previous_index = schedule.choices[position - 2]
         path = schedule.alternatives[previous_index]
         return path if path else None
-
-    def pairs_cached(self) -> int:
-        """Number of pair schedules materialized so far."""
-        return len(self._schedules)
 
 
 __all__ = ["ChurnConfig", "PairSchedule", "PathOracle"]

@@ -33,11 +33,6 @@ class BackboneResult:
     always_false: set[int] = field(default_factory=set)
     free: set[int] = field(default_factory=set)
 
-    @property
-    def unique_model(self) -> bool:
-        """True iff the formula has exactly one model over the variables."""
-        return self.satisfiable and not self.free
-
 
 def backbone(cnf: CNF, variables: Optional[Sequence[int]] = None) -> BackboneResult:
     """Compute the backbone of ``cnf`` over ``variables``.

@@ -9,7 +9,7 @@ tomography layer names variables after ``(ASN, anomaly)`` pairs).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Sequence, Tuple
 
 
 def var_of(literal: int) -> int:
@@ -134,42 +134,6 @@ class CNF:
         """A shallow copy sharing immutable clauses."""
         return CNF(self.num_vars, list(self.clauses))
 
-    def to_dimacs(self) -> str:
-        """Serialize in DIMACS ``cnf`` format."""
-        lines = [f"p cnf {self.num_vars} {len(self.clauses)}"]
-        for clause in self.clauses:
-            lines.append(" ".join(map(str, clause.literals)) + " 0")
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_dimacs(cls, text: str) -> "CNF":
-        """Parse a DIMACS ``cnf`` document (comments allowed)."""
-        num_vars = 0
-        clauses: List[Clause] = []
-        declared: Optional[int] = None
-        for raw in text.splitlines():
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"bad DIMACS header: {line!r}")
-                num_vars = int(parts[2])
-                declared = int(parts[3])
-                continue
-            lits = [int(tok) for tok in line.split()]
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            if lits:
-                clauses.append(Clause(lits))
-        if declared is not None and declared != len(clauses):
-            # Tolerate header/count mismatch: real-world DIMACS files often
-            # disagree, and the parse is unambiguous regardless.
-            pass
-        cnf = cls(num_vars=num_vars, clauses=clauses)
-        return cnf
-
 
 class CNFBuilder:
     """Builds a :class:`CNF` over *named* variables.
@@ -198,10 +162,6 @@ class CNFBuilder:
             self._var_by_name[name] = var
             self._name_by_var[var] = name
         return var
-
-    def has_variable(self, name: Hashable) -> bool:
-        """Whether ``name`` has been allocated a variable."""
-        return name in self._var_by_name
 
     def name_of(self, var: int) -> Hashable:
         """The name bound to solver variable ``var``."""
@@ -236,11 +196,6 @@ class CNFBuilder:
         else:
             for name in names:
                 self._clauses.append(Clause([-self.variable(name)]))
-
-    def add_unit(self, name: Hashable, value: bool) -> None:
-        """Force a single named variable to ``value``."""
-        var = self.variable(name)
-        self._clauses.append(Clause([var if value else -var]))
 
     def build(self) -> CNF:
         """Produce the immutable-ish CNF accumulated so far."""

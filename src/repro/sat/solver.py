@@ -388,11 +388,6 @@ class Solver:
         """Number of variables known to the solver."""
         return self._num_vars
 
-    @property
-    def num_clauses(self) -> int:
-        """Number of clauses (original + learned) in the database."""
-        return len(self._clauses)
-
 
 def check_model(cnf: CNF, model: Assignment) -> bool:
     """Verify that ``model`` satisfies every clause of ``cnf``.

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.iclab.platform import PlatformConfig
@@ -64,10 +64,6 @@ class ScenarioConfig:
             end=self.duration,
             tests_per_url_per_day=self.tests_per_url_per_day,
         )
-
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """A copy of this config under a different seed."""
-        return replace(self, seed=seed, topology=None, churn=None, platform=None)
 
 
 __all__ = ["ScenarioConfig"]

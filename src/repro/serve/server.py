@@ -530,14 +530,6 @@ def start_in_thread(**kwargs: Any) -> DaemonHandle:
     return DaemonHandle(ServeDaemon(**kwargs))
 
 
-def read_pidfile(path: os.PathLike) -> Optional[int]:
-    """The daemon pid recorded at ``path``, or None."""
-    try:
-        return int(Path(path).read_text(encoding="utf-8").strip())
-    except (FileNotFoundError, ValueError):
-        return None
-
-
 def healthz_snapshot(address: str, timeout: float = 5.0) -> Dict[str, Any]:
     """Fetch and decode a daemon's ``/healthz`` (operator helper)."""
     from urllib.request import urlopen
@@ -556,7 +548,6 @@ __all__ = [
     "ServeDaemon",
     "healthz_snapshot",
     "read_frame",
-    "read_pidfile",
     "start_in_thread",
     "write_frame",
 ]

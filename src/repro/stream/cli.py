@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DIR",
         help=(
             "arm the flight recorder: dump the bounded diagnostic ring "
-            "buffer (frame headers, log records, metric deltas) into "
+            "buffer (frame headers, log records) into "
             "DIR on worker death or SIGUSR1"
         ),
     )

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Set, Tuple
 
-from repro.topology.asn import ASRegistry, AutonomousSystem
+from repro.topology.asn import ASRegistry
 
 
 class Relationship(enum.Enum):
@@ -126,11 +126,6 @@ class ASGraph:
         """Iterate over all links."""
         return iter(self._links.values())
 
-    def link_between(self, a: int, b: int) -> Optional[ASLink]:
-        """The link between two ASNs, or None."""
-        key = (a, b) if a < b else (b, a)
-        return self._links.get(key)
-
     def providers_of(self, asn: int) -> Set[int]:
         """ASNs this AS buys transit from."""
         return self._providers[asn]
@@ -150,10 +145,6 @@ class ASGraph:
     def degree(self, asn: int) -> int:
         """Total number of neighbors."""
         return len(self.neighbors_of(asn))
-
-    def as_of(self, asn: int) -> AutonomousSystem:
-        """The AS record for ``asn``."""
-        return self.registry[asn]
 
     def country_of(self, asn: int) -> str:
         """Country code of ``asn``."""
@@ -178,10 +169,6 @@ class ASGraph:
             cone.add(node)
             stack.extend(self._customers[node] - cone)
         return cone
-
-    def is_stub(self, asn: int) -> bool:
-        """True when the AS has no customers (a leaf of the transit DAG)."""
-        return not self._customers[asn]
 
     def connected_component(self, asn: int) -> Set[int]:
         """All ASes reachable from ``asn`` ignoring relationships."""

@@ -149,11 +149,6 @@ class IpToAsDatabase:
         """Map ``address`` to an ASN using the epoch at ``timestamp``."""
         return self._maps[self.epoch_index_at(timestamp)][address]
 
-    @property
-    def num_epochs(self) -> int:
-        """Number of historical snapshots."""
-        return len(self._epochs)
-
 
 def build_ip2as_database(
     allocation: PrefixAllocation,

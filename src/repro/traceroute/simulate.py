@@ -112,11 +112,6 @@ class Traceroute:
             )
         )
 
-    @property
-    def responsive_addresses(self) -> List[int]:
-        """Addresses of hops that answered, in order."""
-        return [address for address in self.addresses if address is not None]
-
     def __len__(self) -> int:
         return len(self.addresses)
 

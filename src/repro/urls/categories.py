@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Dict, Iterable, Optional
+from typing import Dict, Optional
 
 
 class Category(enum.Enum):
@@ -46,14 +46,6 @@ class CategoryDatabase:
     def categorize(self, domain: str) -> Optional[Category]:
         """The category of a domain, or None when unknown."""
         return self._by_domain.get(domain)
-
-    def domains_in(self, category: Category) -> Iterable[str]:
-        """All known domains of a category."""
-        return (
-            domain
-            for domain, cat in self._by_domain.items()
-            if cat is category
-        )
 
     def __len__(self) -> int:
         return len(self._by_domain)

@@ -78,13 +78,6 @@ class UrlTestList:
             seen.setdefault(test_url.dest_asn, None)
         return list(seen)
 
-    def by_domain(self, domain: str) -> Optional[TestUrl]:
-        """The URL entry for a domain, or None."""
-        for test_url in self.urls:
-            if test_url.domain == domain:
-                return test_url
-        return None
-
 
 def generate_test_list(
     graph: ASGraph,

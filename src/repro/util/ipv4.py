@@ -9,7 +9,7 @@ allocation, IP-to-AS mapping) and the packet simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
 MAX_ADDRESS = 2**32 - 1
 
@@ -86,10 +86,6 @@ class Prefix:
     def __contains__(self, address: int) -> bool:
         return (address & mask_of(self.length)) == self.network
 
-    def contains_prefix(self, other: "Prefix") -> bool:
-        """Whether ``other`` is fully inside this prefix."""
-        return other.length >= self.length and other.network in self
-
     @property
     def num_addresses(self) -> int:
         """Number of addresses covered."""
@@ -114,14 +110,6 @@ class Prefix:
         if not (0 <= index < self.num_addresses):
             raise ValueError(f"host index {index} outside /{self.length}")
         return self.network + index
-
-    def subnets(self, new_length: int) -> Iterator["Prefix"]:
-        """Iterate the subdivision of this prefix into /new_length pieces."""
-        if new_length < self.length:
-            raise ValueError("cannot subnet to a shorter length")
-        step = 1 << (32 - new_length)
-        for network in range(self.first, self.last + 1, step):
-            yield Prefix(network, new_length)
 
     def __str__(self) -> str:
         return f"{format_ipv4(self.network)}/{self.length}"

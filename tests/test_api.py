@@ -67,10 +67,19 @@ class TestSessionConfig:
             anomalies=("dns",),
             solution_cap=8,
             skip_anomaly_free=True,
-            optimized=False,
             duration_days=4,
             num_urls=5,
+            num_vantage_points=6,
+            tests_per_url_per_day=2.5,
+            schedule="sweep",
+            sweeps_per_pair_per_day=3.0,
             execution=_sharded(3, chunk_size=17, late_policy="error"),
+        )
+        # Every field is off its default, so the round trip covers them all.
+        default = SessionConfig()
+        assert all(
+            getattr(config, name) != getattr(default, name)
+            for name in config.to_dict()
         )
         payload = json.loads(json.dumps(config.to_dict()))
         assert SessionConfig.from_dict(payload) == config
@@ -84,13 +93,10 @@ class TestSessionConfig:
     def test_subsumes_scenario_and_pipeline_configs(self):
         config = SessionConfig(
             preset="tiny", seed=2, duration_days=3, solution_cap=4,
-            optimized=False,
         )
         job = config.job_spec()
         assert config.scenario_config() == job.scenario_config()
-        pipeline_config = config.pipeline_config()
-        assert pipeline_config.solution_cap == 4
-        assert pipeline_config.optimized is False
+        assert config.pipeline_config().solution_cap == 4
 
     def test_validation_delegates_to_job_spec(self):
         with pytest.raises(ValueError):
@@ -522,7 +528,7 @@ class TestCheckpointRestore:
         path = session.checkpoint(tmp_path / "doc.ckpt")
         with open(path, "r", encoding="utf-8") as handle:
             document = json.load(handle)
-        assert document["format"] == 2
+        assert document["format"] == 3
         assert SessionConfig.from_dict(document["config"]) == TINY_CONFIG
         assert document["engine"]["problems"]
 

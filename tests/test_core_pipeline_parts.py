@@ -13,7 +13,7 @@ from repro.core.problem import (
     TomographyProblem,
 )
 from repro.core.reduction import ReductionStats, reduction_of
-from repro.core.splitting import interesting_groups, split_observations
+from repro.core.splitting import split_observations
 from repro.util.timeutil import DAY, Granularity, window_of
 
 URL = "http://x.com/"
@@ -85,14 +85,6 @@ class TestSplitting:
         assert len(groups) == 1
         (group,) = groups.values()
         assert len(group) == 2
-
-    def test_interesting_groups_filters_anomaly_free(self):
-        groups = split_observations(
-            [obs([1], False, timestamp=10), obs([2], True, timestamp=2 * DAY)],
-            granularities=(Granularity.DAY,),
-        )
-        interesting = interesting_groups(groups)
-        assert len(interesting) == 1
 
 
 class TestFirstPathOnly:

@@ -5,7 +5,6 @@ import pytest
 from repro.netsim.packets import (
     DnsRecord,
     DnsResponse,
-    HttpResponse,
     PacketCapture,
     TcpFlags,
     TcpPacket,
@@ -86,12 +85,6 @@ class TestCapture:
     def test_synack_absent(self):
         assert PacketCapture().synack() is None
 
-    def test_http_responses(self):
-        page = HttpResponse(status=200, body="hello")
-        capture = PacketCapture()
-        capture.add(packet(payload=page, payload_len=5))
-        assert capture.http_responses() == [page]
-
     def test_dns_addresses(self):
         response = DnsResponse(
             time=0.1,
@@ -129,7 +122,7 @@ class TestExpandAsPath:
     def test_first_as_contributes_one_router(self):
         router_path = expand_as_path(self.as_path(), ALLOCATION, seed=1)
         first_asn = self.as_path()[0]
-        assert len(router_path.routers_of(first_asn)) == 1
+        assert [h.asn for h in router_path.hops].count(first_asn) == 1
 
     def test_addresses_belong_to_their_as(self):
         router_path = expand_as_path(self.as_path(), ALLOCATION, seed=1)

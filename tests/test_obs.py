@@ -436,8 +436,6 @@ class TestDrainsUnchangedByTelemetry:
         merged = sharded.solve_stats
         assert merged is not None
         assert merged.problems == inline.solve_stats.problems
-        telemetry = sharded._backend.worker_telemetry
-        assert [entry["shard"] for entry in telemetry] == [0, 1]
         # Worker registries landed shard-labeled in the parent registry.
         # Chunk-ingest histograms are the robust witness: every shard
         # that owns any pair records them, whatever the placement layout

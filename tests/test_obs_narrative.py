@@ -308,18 +308,6 @@ class TestFlightRecorder:
             entry["size"] for entry in recorder.tail(shard=0)
         ] == [102, 104]
 
-    def test_metric_deltas(self):
-        recorder = FlightRecorder(clock=FakeClock())
-        registry = MetricsRegistry(clock=FakeClock())
-        counter = registry.counter("repro_events_total", {"event_kind": "x"})
-        counter.inc(3)
-        recorder.note_metrics(registry.snapshot())
-        counter.inc(2)
-        recorder.note_metrics(registry.snapshot())
-        recorder.note_metrics(registry.snapshot())  # no change, no entry
-        deltas = [entry["delta"] for entry in recorder.tail(kind="metric")]
-        assert deltas == [3.0, 2.0]
-
     def test_dump_writes_document_and_never_raises(self, tmp_path):
         recorder = FlightRecorder(capacity=4, clock=FakeClock())
         recorder.note_frame("send", 42, shard=1)

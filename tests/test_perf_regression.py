@@ -24,7 +24,7 @@ from array import array
 
 import pytest
 
-from repro.core.pipeline import PipelineConfig
+from repro.core.pipeline import PipelineResult, assemble_result
 from repro.core.problem import (
     ProblemSolution,
     ProblemSolveCache,
@@ -64,6 +64,21 @@ def _result_sha(result) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+def _reference_result(world, result) -> PipelineResult:
+    """``result`` rebuilt with every problem solved by the reference
+    solver, from the same groups and conversion tallies."""
+    solutions = [
+        TomographyProblem(key, group).solve_reference()
+        for key, group in result.observations_by_key.items()
+    ]
+    return assemble_result(
+        solutions,
+        result.observations_by_key,
+        result.discard_stats,
+        world.country_by_asn,
+    )
+
+
 def _campaign_sha(dataset) -> str:
     blob = json.dumps(
         [measurement.to_dict() for measurement in dataset], sort_keys=True
@@ -85,23 +100,15 @@ class TestDeterminismGuard:
     def test_optimized_equals_reference_solver_path(
         self, tiny_world, tiny_dataset
     ):
-        optimized = tiny_world.pipeline(
-            PipelineConfig(optimized=True)
-        ).run(tiny_dataset)
-        reference = tiny_world.pipeline(
-            PipelineConfig(optimized=False)
-        ).run(tiny_dataset)
+        optimized = tiny_world.pipeline().run(tiny_dataset)
+        reference = _reference_result(tiny_world, optimized)
         assert optimized.to_dict() == reference.to_dict()
 
     def test_optimized_equals_reference_on_small(
         self, small_world, small_dataset
     ):
-        optimized = small_world.pipeline(
-            PipelineConfig(optimized=True)
-        ).run(small_dataset)
-        reference = small_world.pipeline(
-            PipelineConfig(optimized=False)
-        ).run(small_dataset)
+        optimized = small_world.pipeline().run(small_dataset)
+        reference = _reference_result(small_world, optimized)
         assert optimized.to_dict() == reference.to_dict()
 
     def test_per_problem_solutions_match_reference(
@@ -131,11 +138,6 @@ class TestSolveCacheCounters:
         assert stats.unique_cnfs + stats.signature_hits == stats.problems
         assert stats.cdcl_solves <= stats.unique_cnfs
         assert stats.propagation_decided + stats.cdcl_solves <= stats.unique_cnfs
-
-    def test_reference_path_records_no_stats(self, tiny_world, tiny_dataset):
-        pipeline = tiny_world.pipeline(PipelineConfig(optimized=False))
-        pipeline.run(tiny_dataset)
-        assert pipeline.last_solve_stats is None
 
 
 class TestRoutingCounters:

@@ -79,7 +79,7 @@ class TestSchedules:
         orc = oracle()
         src, dst = sample_pair()
         assert orc.schedule_for(src, dst) is orc.schedule_for(src, dst)
-        assert orc.pairs_cached() == 1
+        assert len(orc._schedules) == 1
 
     def test_index_at_before_first_switch(self):
         schedule = PairSchedule(1, 2, [(1, 2), (1, 3, 2)], [100], [1])
@@ -107,7 +107,7 @@ class TestSchedules:
     def test_stable_world_never_churns(self):
         orc = oracle(stable_fraction=1.0, rate_mixture=((0.0, 1.0, 2.0),))
         src, dst = sample_pair()
-        assert not orc.schedule_for(src, dst).ever_churns
+        assert not orc.schedule_for(src, dst).switch_times
 
     def test_churn_fraction_statistics(self):
         orc = oracle(seed=11)
@@ -121,7 +121,7 @@ class TestSchedules:
                 if len(schedule.alternatives) <= 1:
                     continue
                 total += 1
-                if schedule.ever_churns:
+                if schedule.switch_times:
                     churning += 1
         # stable_fraction=0.33 => about two thirds of multi-path pairs churn
         assert total > 30

@@ -1,17 +1,8 @@
 """Tests for repro.sat.cnf."""
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.sat.cnf import CNF, Clause, CNFBuilder, neg, var_of
-
-
-def small_clauses():
-    literal = st.integers(min_value=1, max_value=6).flatmap(
-        lambda v: st.sampled_from([v, -v])
-    )
-    return st.lists(literal, min_size=1, max_size=5)
 
 
 class TestLiteralHelpers:
@@ -84,29 +75,6 @@ class TestCNF:
         assert len(cnf) == 1
         assert len(clone) == 2
 
-    def test_dimacs_roundtrip_simple(self):
-        cnf = CNF(3, [Clause([1, -2]), Clause([3])])
-        parsed = CNF.from_dimacs(cnf.to_dimacs())
-        assert parsed.num_vars == 3
-        assert [c.literals for c in parsed.clauses] == [(1, -2), (3,)]
-
-    def test_dimacs_ignores_comments(self):
-        text = "c comment\np cnf 2 1\n1 2 0\n"
-        parsed = CNF.from_dimacs(text)
-        assert len(parsed) == 1
-
-    def test_dimacs_bad_header(self):
-        with pytest.raises(ValueError):
-            CNF.from_dimacs("p wrong 1 1\n1 0\n")
-
-    @given(st.lists(small_clauses(), min_size=0, max_size=8))
-    def test_dimacs_roundtrip_property(self, clause_lists):
-        cnf = CNF(6, [Clause(lits) for lits in clause_lists])
-        parsed = CNF.from_dimacs(cnf.to_dimacs())
-        assert [c.literals for c in parsed.clauses] == [
-            c.literals for c in cnf.clauses
-        ]
-
 
 class TestCNFBuilder:
     def test_variable_allocation_stable(self):
@@ -130,13 +98,6 @@ class TestCNFBuilder:
         cnf = builder.build()
         assert [c.literals for c in cnf.clauses] == [(-1,), (-2,)]
 
-    def test_add_unit(self):
-        builder = CNFBuilder()
-        builder.add_unit("x", True)
-        builder.add_unit("y", False)
-        cnf = builder.build()
-        assert [c.literals for c in cnf.clauses] == [(1,), (-2,)]
-
     def test_decode(self):
         builder = CNFBuilder()
         builder.add_clause_named(["a", "b"])
@@ -147,9 +108,3 @@ class TestCNFBuilder:
         builder = CNFBuilder()
         builder.add_clause_named(["z", "a", "m"])
         assert builder.names == ("z", "a", "m")
-
-    def test_has_variable(self):
-        builder = CNFBuilder()
-        assert not builder.has_variable("a")
-        builder.variable("a")
-        assert builder.has_variable("a")

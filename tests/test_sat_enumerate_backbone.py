@@ -115,14 +115,13 @@ class TestBackbone:
         result = backbone(cnf)
         assert result.always_true == {1, 3}
         assert result.always_false == {2}
-        assert result.unique_model
+        assert not result.free
 
     def test_free_variable(self):
         cnf = CNF(2, [Clause([1]), Clause([1, 2])])
         result = backbone(cnf)
         assert result.always_true == {1}
         assert 2 in result.free
-        assert not result.unique_model
 
     def test_variable_outside_clauses_is_free(self):
         cnf = CNF(1, [Clause([1])])

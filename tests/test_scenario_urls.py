@@ -20,12 +20,6 @@ class TestCategoryDatabase:
         assert db.categorize("y.com") is None
         assert len(db) == 1
 
-    def test_domains_in(self):
-        db = CategoryDatabase()
-        db.register("a.com", Category.NEWS)
-        db.register("b.com", Category.ADULT)
-        assert list(db.domains_in(Category.NEWS)) == ["a.com"]
-
 
 class TestTestList:
     def test_generation_count_and_uniqueness(self, tiny_world):
@@ -46,7 +40,7 @@ class TestTestList:
             tiny_world.graph, tiny_world.allocation, 20, seed=1
         )
         for test_url in test_list:
-            assert tiny_world.graph.as_of(test_url.dest_asn).as_type is (
+            assert tiny_world.graph.registry[test_url.dest_asn].as_type is (
                 ASType.CONTENT
             )
 
@@ -87,14 +81,6 @@ class TestTestList:
         with pytest.raises(ValueError):
             generate_test_list(tiny_world.graph, tiny_world.allocation, 0)
 
-    def test_by_domain(self, tiny_world):
-        test_list = generate_test_list(
-            tiny_world.graph, tiny_world.allocation, 5, seed=1
-        )
-        first = test_list.urls[0]
-        assert test_list.by_domain(first.domain) == first
-        assert test_list.by_domain("nope.example") is None
-
 
 class TestScenarioConfig:
     def test_validation(self):
@@ -112,11 +98,6 @@ class TestScenarioConfig:
     def test_churn_horizon_matches_duration(self):
         config = ScenarioConfig(seed=1, duration=12345678)
         assert config.churn_config().horizon == 12345678
-
-    def test_with_seed(self):
-        config = ScenarioConfig(seed=1).with_seed(2)
-        assert config.seed == 2
-        assert config.topology_config().seed == 2
 
 
 class TestPresets:

@@ -446,8 +446,9 @@ class TestAdmission:
         finally:
             handle.stop()
 
+    @pytest.mark.parametrize("old_format", [1, 2])
     def test_old_checkpoint_format_state_file_is_refused(
-        self, tmp_path, tiny_world, tiny_dataset
+        self, tmp_path, tiny_world, tiny_dataset, old_format
     ):
         """A tenant state file whose embedded checkpoint is in another
         format fails to resume with a message naming both formats."""
@@ -458,7 +459,7 @@ class TestAdmission:
         session.checkpoint(checkpoint)
         session.close()
         document = json.loads(checkpoint.read_text())
-        document["format"] = 1
+        document["format"] = old_format
         document["serve"] = {
             "format": SERVE_STATE_FORMAT,
             "campaign": "old",
@@ -468,7 +469,9 @@ class TestAdmission:
         }
         path = state_path(tmp_path, "old")
         path.write_text(json.dumps(document))
-        with pytest.raises(ValueError, match="format 1 .*format 2"):
+        with pytest.raises(
+            ValueError, match=f"format {old_format} .*format 3"
+        ):
             TenantRegistry().resume(path)
 
     def test_connect_failure_is_one_actionable_line(self):

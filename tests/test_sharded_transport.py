@@ -194,6 +194,17 @@ class TestWireCodec:
             wire.check_hello_ack(("hello", wire.WIRE_FORMAT + 1))
         with pytest.raises(wire.WireFormatError):
             wire.check_hello(("obs", ()))
+        # A format-7 build's config still carries ``optimized``; its hello
+        # and attach frames are refused before that config is built.
+        config = {**SessionConfig(preset="tiny").to_dict(), "optimized": True}
+        with pytest.raises(
+            wire.WireFormatError, match="wire format 7; this build speaks 8"
+        ):
+            wire.check_hello(("hello", 7, 0, config, False, {}))
+        with pytest.raises(
+            wire.WireFormatError, match="wire format 7; this daemon speaks 8"
+        ):
+            wire.check_attach(("attach", 7, "old", config, False, None, {}))
 
 
 class TestTransportPlumbing:
@@ -563,7 +574,6 @@ class TestSocketShardHosts:
             )
             for observation in feed:
                 backend.ingest_observation(observation)
-            assert backend.listen_addresses == hosts
             reference = _inline_drain(tiny_world, feed)
             assert backend.drain().to_dict() == reference.to_dict()
             for proc in procs:
@@ -581,7 +591,7 @@ class TestSocketShardHosts:
         )
         for observation in tiny_observations[:40]:
             backend.ingest_observation(observation)
-        addresses = backend.listen_addresses
+        addresses = [listener.address for listener in backend._listeners]
         assert len(addresses) == 2
         assert all(
             int(address.rsplit(":", 1)[1]) > 0 for address in addresses

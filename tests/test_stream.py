@@ -395,7 +395,7 @@ class TestWindowLifecycle:
         engine.ingest_observation(make(False, (1, 4), timestamp=30))
         assert engine.identifications == []
         ttl = TimeToLocalization.from_engine(engine)
-        assert ttl.identified_asns == []
+        assert ttl.first_by_asn == {}
 
     def test_direct_observation_feed_counts_measurements_once(
         self, tiny_world, tiny_dataset

@@ -130,22 +130,11 @@ class TestGraph:
         with pytest.raises(KeyError):
             graph.add_link(transit_link(2, 99))
 
-    def test_link_between(self):
-        graph = self.make_graph()
-        assert graph.link_between(1, 2) is not None
-        assert graph.link_between(2, 1) is not None
-        assert graph.link_between(3, 4) is None
-
     def test_customer_cone(self):
         graph = self.make_graph()
         assert graph.customer_cone(1) == {1, 2, 3, 4, 5}
         assert graph.customer_cone(2) == {2, 3, 4}
         assert graph.customer_cone(3) == {3}
-
-    def test_is_stub(self):
-        graph = self.make_graph()
-        assert graph.is_stub(3)
-        assert not graph.is_stub(2)
 
     def test_connected_component(self):
         graph = self.make_graph()

@@ -83,7 +83,7 @@ class TestDatabase:
         db = build_ip2as_database(
             allocation, start=0, end=8 * WEEK, epoch_length=4 * WEEK, seed=0
         )
-        assert db.num_epochs == 2
+        assert len(db._epochs) == 2
         assert db.epoch_at(0).start == 0
         assert db.epoch_at(5 * WEEK).start == 4 * WEEK
 

@@ -21,6 +21,11 @@ def make_path(num_hops=10):
     return RouterPath(as_path=as_path, hops=hops)
 
 
+def _responsive(run):
+    """Addresses of the hops that answered, in order."""
+    return [address for address in run.addresses if address is not None]
+
+
 NO_FAILURES = TracerouteParams(
     hop_nonresponse_probability=0.0,
     error_probability=0.0,
@@ -34,7 +39,7 @@ class TestSingleRun:
         run = simulate_traceroute(path, DeterministicRNG(0, "t"), NO_FAILURES)
         assert not run.error
         assert run.destination_reached
-        assert run.responsive_addresses == [h.address for h in path.hops]
+        assert _responsive(run) == [h.address for h in path.hops]
 
     def test_rtts_monotonic_on_perfect_run(self):
         run = simulate_traceroute(make_path(), DeterministicRNG(0, "t"), NO_FAILURES)
@@ -58,7 +63,7 @@ class TestSingleRun:
         )
         run = simulate_traceroute(make_path(), DeterministicRNG(0, "t"), params)
         assert not run.error
-        assert run.responsive_addresses == []
+        assert _responsive(run) == []
         assert not run.destination_reached
 
     def test_truncation_shortens_run(self):
@@ -167,7 +172,7 @@ class TestTriplet:
         runs = simulate_traceroute_triplet(
             make_path(), DeterministicRNG(0, "t"), NO_FAILURES
         )
-        addresses = [run.responsive_addresses for run in runs]
+        addresses = [_responsive(run) for run in runs]
         assert addresses[0] == addresses[1] == addresses[2]
 
     def test_racing_path_can_appear(self):
@@ -188,7 +193,7 @@ class TestTriplet:
         runs = simulate_traceroute_triplet(
             current, DeterministicRNG(3, "t"), params, racing_router_path=old
         )
-        address_sets = {tuple(run.responsive_addresses) for run in runs}
+        address_sets = {tuple(_responsive(run)) for run in runs}
         assert len(address_sets) == 2  # one run saw the old path
 
     def test_no_racing_without_old_path(self):
@@ -201,5 +206,5 @@ class TestTriplet:
         runs = simulate_traceroute_triplet(
             make_path(), DeterministicRNG(3, "t"), params, racing_router_path=None
         )
-        address_sets = {tuple(run.responsive_addresses) for run in runs}
+        address_sets = {tuple(_responsive(run)) for run in runs}
         assert len(address_sets) == 1

@@ -93,21 +93,6 @@ class TestPrefix:
         with pytest.raises(ValueError):
             prefix.host(-1)
 
-    def test_subnets(self):
-        subnets = list(Prefix.parse("192.0.2.0/24").subnets(26))
-        assert len(subnets) == 4
-        assert all(s.length == 26 for s in subnets)
-
-    def test_subnets_rejects_shorter(self):
-        with pytest.raises(ValueError):
-            list(Prefix.parse("192.0.2.0/24").subnets(20))
-
-    def test_contains_prefix(self):
-        outer = Prefix.parse("10.0.0.0/8")
-        inner = Prefix.parse("10.1.0.0/16")
-        assert outer.contains_prefix(inner)
-        assert not inner.contains_prefix(outer)
-
     def test_str(self):
         assert str(Prefix.parse("10.0.0.0/8")) == "10.0.0.0/8"
 
