@@ -8,10 +8,10 @@ no-churn ablation.  The histograms here support both bucketings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Sequence
 
 from repro.anomaly import Anomaly
-from repro.core.problem import ProblemSolution, SolutionStatus
+from repro.core.problem import ProblemSolution
 from repro.util.timeutil import Granularity
 
 

@@ -429,6 +429,9 @@ def run_shard_worker(transport: ShardTransport) -> None:
         return engine
 
     engine = fresh_engine()
+    # The current engine's decoder: its observations hold the paths and
+    # URLs this decoder interned, so each engine gets a fresh one.
+    decoder = wire.ObservationDecoder()
     try:
         transport.send(("hello", wire.WIRE_FORMAT))
         while True:
@@ -449,9 +452,8 @@ def run_shard_worker(transport: ShardTransport) -> None:
                     spans.clock() if spans is not None else None
                 )
                 ingest = engine.ingest_observation
-                from_wire = wire.observation_from_wire
-                for payload in message[1]:
-                    ingest(from_wire(payload))
+                for observation in decoder.decode(message[1]):
+                    ingest(observation)
                 if spans is not None:
                     spans.record(
                         "chunk.ingest",
@@ -486,6 +488,7 @@ def run_shard_worker(transport: ShardTransport) -> None:
                 engine = restore_engine(
                     message[1], None, {}, pipeline_config, late_policy
                 )
+                decoder = wire.ObservationDecoder()
                 if registry is not None:
                     engine.attach_metrics(registry)
                 if spans is not None:

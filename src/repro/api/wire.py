@@ -101,22 +101,36 @@ Format 8 shrank the :class:`~repro.api.config.SessionConfig` dict that
 because every pipeline run now solves through the shared solve cache.
 A format-7 config would fail the constructor with a ``TypeError``; the
 bump makes the two builds refuse each other at the exchange instead.
+
+Format 9 changed the serve ``result`` frame.  It used to carry the
+drained :class:`~repro.core.pipeline.PipelineResult` whole, so one
+``pickle.dumps`` memoized every observation of the campaign — and each
+observation's reduce arguments — until it returned: a transient several
+times the size of the frame.  It now carries :func:`result_to_wire`'s
+payload: the result without its observation groups, the problem keys in
+their drained order, and one separately pickled part per (URL, anomaly)
+pair holding that pair's groups.  Encoding memory is bounded by one
+pair, and a pair's day, week and month groups still share one object
+per observation.  :func:`result_from_wire` rebuilds the dict in the
+drained order.  A format-8 client would take the tuple for a result.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.anomaly import Anomaly
 from repro.core.observations import Observation, _observation
+from repro.core.pipeline import PipelineResult
 from repro.core.problem import ProblemSolution, SolutionStatus
 from repro.core.splitting import Granularity, ProblemKey
 from repro.stream.events import VerdictEvent, VerdictKind
 from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 8
+WIRE_FORMAT = 9
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -127,10 +141,17 @@ EVENT_SEQUENCE_INDEX = 2
 # reads a chunk's watermark off its buffered tuples.
 OBSERVATION_TIMESTAMP_INDEX = 4
 
-# Enum lookups by value go through EnumType.__call__ — far too slow for
-# a per-observation decode path.  Plain dict lookups instead.
+# Enum lookups by value go through EnumType.__call__, and ``.value`` is
+# a descriptor call — far too slow for per-observation and per-event
+# paths.  Plain dict lookups instead (members hash by identity).
 _ANOMALY_BY_VALUE = {member.value: member for member in Anomaly}
 _GRANULARITY_BY_VALUE = {member.value: member for member in Granularity}
+_STATUS_BY_VALUE = {member.value: member for member in SolutionStatus}
+_VERDICT_BY_VALUE = {member.value: member for member in VerdictKind}
+_VALUE_OF_ANOMALY = {member: member.value for member in Anomaly}
+_VALUE_OF_GRANULARITY = {member: member.value for member in Granularity}
+_VALUE_OF_STATUS = {member: member.value for member in SolutionStatus}
+_VALUE_OF_VERDICT = {member: member.value for member in VerdictKind}
 
 
 class WireFormatError(RuntimeError):
@@ -162,11 +183,6 @@ def decode(data: bytes) -> Tuple:
 
 
 # -- observations ------------------------------------------------------------
-
-
-# Enum ``.value`` is a descriptor call; Anomaly hashes by identity, so a
-# dict lookup is cheaper on the per-observation encode path.
-_VALUE_OF_ANOMALY = {member: member.value for member in Anomaly}
 
 
 def observation_to_wire(observation: Observation) -> Tuple:
@@ -207,15 +223,61 @@ def observation_record(
     )
 
 
-def observation_from_wire(payload: Tuple) -> Observation:
-    return _observation(
-        payload[0],
-        _ANOMALY_BY_VALUE[payload[1]],
-        payload[2],
-        tuple(payload[3]),
-        payload[4],
-        payload[5],
-    )
+class ObservationDecoder:
+    """Wire records → :class:`Observation` objects, each repeat held once.
+
+    A campaign's observations repeat a few hundred AS paths and a few
+    dozen URLs, and a measurement's per-anomaly records arrive together
+    with one timestamp and one measurement id.  Unpickling builds fresh
+    copies of all of them for every frame; the decoder maps each path
+    tuple and URL to the first equal one it saw, and reuses the previous
+    record's ``timestamp`` and ``measurement_id`` objects when the
+    measurement id repeats, so the engine holds each once.
+
+    One decoder per session: a serve tenant owns one, and a shard worker
+    starts one with each engine it builds or restores.  The tables grow
+    with the session's distinct paths and URLs and die with it.
+    """
+
+    __slots__ = ("paths", "urls", "_previous")
+
+    def __init__(self) -> None:
+        self.paths: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
+        self.urls: Dict[str, str] = {}
+        # The previous record's measurement_id and timestamp, and its
+        # path as received and as interned.
+        self._previous: Tuple[Any, ...] = (None, None, None, None)
+
+    def decode(self, records: Iterable[Tuple]) -> Iterator[Observation]:
+        """The observations of ``records``, in order."""
+        paths = self.paths
+        urls = self.urls
+        last_id, last_timestamp, last_path, interned = self._previous
+        for url, anomaly, detected, as_path, timestamp, measurement_id in (
+            records
+        ):
+            if measurement_id == last_id:
+                measurement_id = last_id
+                if timestamp == last_timestamp:
+                    timestamp = last_timestamp
+            else:
+                last_id = measurement_id
+                last_timestamp = timestamp
+            # A measurement's records share one path object in a frame.
+            if as_path is not last_path:
+                last_path = as_path
+                interned = paths.get(as_path)
+                if interned is None:
+                    interned = paths[as_path] = as_path
+            yield _observation(
+                urls.setdefault(url, url),
+                _ANOMALY_BY_VALUE[anomaly],
+                detected,
+                interned,
+                timestamp,
+                measurement_id,
+            )
+        self._previous = (last_id, last_timestamp, last_path, interned)
 
 
 # -- problem keys ------------------------------------------------------------
@@ -224,8 +286,8 @@ def observation_from_wire(payload: Tuple) -> Observation:
 def key_to_wire(key: ProblemKey) -> Tuple[str, str, str, int, int]:
     return (
         key.url,
-        key.anomaly.value,
-        key.granularity.value,
+        _VALUE_OF_ANOMALY[key.anomaly],
+        _VALUE_OF_GRANULARITY[key.granularity],
         key.window.start,
         key.window.end,
     )
@@ -246,7 +308,7 @@ def key_from_wire(payload: Tuple) -> ProblemKey:
 def solution_to_wire(solution: ProblemSolution) -> Tuple:
     return (
         key_to_wire(solution.key),
-        solution.status.value,
+        _VALUE_OF_STATUS[solution.status],
         solution.num_solutions,
         solution.capped,
         tuple(solution.observed_ases),
@@ -261,7 +323,7 @@ def solution_to_wire(solution: ProblemSolution) -> Tuple:
 def solution_from_wire(payload: Tuple) -> ProblemSolution:
     return ProblemSolution(
         key=key_from_wire(payload[0]),
-        status=SolutionStatus(payload[1]),
+        status=_STATUS_BY_VALUE[payload[1]],
         num_solutions=payload[2],
         capped=payload[3],
         observed_ases=frozenset(payload[4]),
@@ -282,7 +344,7 @@ def event_to_wire(event: VerdictEvent) -> Tuple:
     Index ``EVENT_SEQUENCE_INDEX`` carries the emitting engine's *local*
     sequence counter — the recovery dedup key."""
     return (
-        event.kind.value,
+        _VALUE_OF_VERDICT[event.kind],
         key_to_wire(event.key),
         event.sequence,
         event.timestamp,
@@ -305,7 +367,7 @@ def event_to_wire(event: VerdictEvent) -> Tuple:
 
 def event_from_wire(payload: Tuple) -> VerdictEvent:
     return VerdictEvent(
-        kind=VerdictKind(payload[0]),
+        kind=_VERDICT_BY_VALUE[payload[0]],
         key=key_from_wire(payload[1]),
         sequence=payload[2],
         timestamp=payload[3],
@@ -322,6 +384,49 @@ def event_from_wire(payload: Tuple) -> VerdictEvent:
             frozenset(payload[9]) if payload[9] is not None else None
         ),
     )
+
+
+# -- drained results (format 9) ----------------------------------------------
+
+
+def result_to_wire(result: PipelineResult) -> Tuple:
+    """A drained result as ``(head, keys, parts)`` for a ``result`` frame.
+
+    ``head`` is the result with no observation groups, ``keys`` the
+    problem keys of ``observations_by_key`` in order, and ``parts`` one
+    pickled list per (URL, anomaly) pair, in order of the pair's first
+    key, holding that pair's groups in key order.  Each ``dumps`` memo
+    lives for one pair only; every group an observation belongs to is
+    in its own pair, so the pair's pickle keeps them sharing it."""
+    by_pair: Dict[Tuple[str, Anomaly], List[List[Observation]]] = {}
+    for key, group in result.observations_by_key.items():
+        by_pair.setdefault((key.url, key.anomaly), []).append(group)
+    with paused():
+        parts = tuple(
+            pickle.dumps(groups, _PROTOCOL) for groups in by_pair.values()
+        )
+    return (
+        dataclasses.replace(result, observations_by_key={}),
+        tuple(result.observations_by_key),
+        parts,
+    )
+
+
+def result_from_wire(payload: Tuple) -> PipelineResult:
+    """Inverse of :func:`result_to_wire`: one part unpickled at a time,
+    as the keys first reach its pair."""
+    head, keys, parts = payload
+    remaining = iter(parts)
+    by_pair: Dict[Tuple[str, Anomaly], Iterator[List[Observation]]] = {}
+    observations_by_key: Dict[ProblemKey, List[Observation]] = {}
+    with paused():
+        for key in keys:
+            pair = (key.url, key.anomaly)
+            groups = by_pair.get(pair)
+            if groups is None:
+                groups = by_pair[pair] = iter(pickle.loads(next(remaining)))
+            observations_by_key[key] = next(groups)
+    return dataclasses.replace(head, observations_by_key=observations_by_key)
 
 
 # -- hello handshake ---------------------------------------------------------
@@ -566,13 +671,15 @@ __all__ = [
     "decode",
     "observation_to_wire",
     "observation_record",
-    "observation_from_wire",
+    "ObservationDecoder",
     "key_to_wire",
     "key_from_wire",
     "solution_to_wire",
     "solution_from_wire",
     "event_to_wire",
     "event_from_wire",
+    "result_to_wire",
+    "result_from_wire",
     "hello_frame",
     "check_hello",
     "check_hello_ack",

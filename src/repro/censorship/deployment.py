@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from repro.anomaly import Anomaly
 from repro.censorship.blockpage import BLOCKPAGE_TEMPLATES
 from repro.censorship.censor import CensorMiddlebox, Technique
-from repro.censorship.policy import CensorshipPolicy, random_policy
+from repro.censorship.policy import random_policy
 from repro.topology.asn import ASType
 from repro.topology.graph import ASGraph
 from repro.urls.categories import Category, CategoryDatabase

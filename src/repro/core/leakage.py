@@ -17,7 +17,7 @@ paper's separate "leaks (AS)" and "leaks (Country)" columns in Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.observations import Observation
 from repro.core.problem import ProblemSolution, SolutionStatus

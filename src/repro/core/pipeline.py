@@ -12,7 +12,7 @@ the first observed distinct path per pair) before problem construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.anomaly import Anomaly

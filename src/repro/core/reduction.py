@@ -10,7 +10,7 @@ are identified as definite non-censors".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 from repro.core.problem import ProblemSolution, SolutionStatus
 

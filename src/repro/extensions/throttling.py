@@ -19,7 +19,7 @@ problem per (server, window), solved by the same SAT pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.anomaly import Anomaly
 from repro.censorship.censor import Technique

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.anomaly import Anomaly
-from repro.censorship.censor import CensorMiddlebox, Technique
+from repro.censorship.censor import CensorMiddlebox
 from repro.core.observations import Observation
 from repro.core.problem import SolutionStatus, TomographyProblem
 from repro.core.splitting import split_observations

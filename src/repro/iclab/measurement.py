@@ -10,9 +10,9 @@ conspicuous.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from operator import attrgetter
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 from repro.anomaly import Anomaly
 from repro.traceroute.simulate import Traceroute

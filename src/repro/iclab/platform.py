@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import os
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from time import perf_counter
 from typing import (

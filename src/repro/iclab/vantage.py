@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.topology.asn import ASType
 from repro.topology.graph import ASGraph

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from repro.netsim.middlebox import (
-    DnsInjection,
     OnPathMiddlebox,
     SessionContext,
     SeqTamperMode,

@@ -45,7 +45,7 @@ from __future__ import annotations
 import threading
 import time
 from bisect import bisect_left
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 # The registry snapshot format version (persisted in drain telemetry and
 # JSON dumps; bump on layout changes).

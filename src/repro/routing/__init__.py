@@ -16,15 +16,11 @@ paper's substitute for strategically placed tomography monitors.
 
 from repro.routing.bgp import RouteComputer, RoutingTable
 from repro.routing.churn import ChurnConfig, PairSchedule, PathOracle
-from repro.routing.policy import (
-    RouteClass,
-    route_class_sequence,
-)
+from repro.routing.policy import route_class_sequence
 
 __all__ = [
     "RouteComputer",
     "RoutingTable",
-    "RouteClass",
     "route_class_sequence",
     "ChurnConfig",
     "PairSchedule",

@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
-from repro.routing.policy import RouteClass, tie_break_rank
+from repro.routing.policy import tie_break_rank
 from repro.topology.graph import ASGraph
 
 ASPath = Tuple[int, ...]

@@ -23,9 +23,9 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from repro.routing.bgp import ASPath, LinkKey, RouteComputer, RoutingTable
+from repro.routing.bgp import ASPath, RouteComputer, RoutingTable
 from repro.topology.graph import ASGraph
 from repro.util.profiling import StageTimer, maybe_stage
 from repro.util.rng import DeterministicRNG

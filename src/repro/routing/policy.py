@@ -1,4 +1,4 @@
-"""Gao-Rexford routing policy: preference classes and valley-freedom.
+"""Gao-Rexford routing policy: valley-freedom and tie-breaks.
 
 Business relationships induce the classic export rule: an AS announces
 customer routes to everybody, but announces peer- and provider-learned
@@ -11,19 +11,10 @@ provider routes, then shorter AS paths, then a deterministic tie-break.
 
 from __future__ import annotations
 
-import enum
 import hashlib
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.topology.graph import ASGraph
-
-
-class RouteClass(enum.IntEnum):
-    """Preference class of a route, smaller = more preferred."""
-
-    CUSTOMER = 0  # learned from a customer (we are paid to carry it)
-    PEER = 1      # learned from a peer (settlement-free)
-    PROVIDER = 2  # learned from a provider (we pay to use it)
 
 
 def edge_kind(graph: ASGraph, frm: int, to: int) -> Optional[str]:
@@ -100,18 +91,9 @@ def tie_break_rank(asn: int, neighbor: int, salt: int) -> int:
     return int.from_bytes(digest, "big")
 
 
-def candidate_sort_key(
-    route_class: RouteClass, path_length: int, rank: int
-) -> Tuple[int, int, int]:
-    """Sort key implementing the full decision process (lower wins)."""
-    return (int(route_class), path_length, rank)
-
-
 __all__ = [
-    "RouteClass",
     "edge_kind",
     "route_class_sequence",
     "is_valley_free",
     "tie_break_rank",
-    "candidate_sort_key",
 ]

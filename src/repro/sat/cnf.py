@@ -23,13 +23,6 @@ def var_of(literal: int) -> int:
     return abs(literal)
 
 
-def neg(literal: int) -> int:
-    """The negation of a literal."""
-    if literal == 0:
-        raise ValueError("0 is not a valid literal")
-    return -literal
-
-
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of literals.
@@ -210,4 +203,4 @@ class CNFBuilder:
         }
 
 
-__all__ = ["CNF", "Clause", "CNFBuilder", "var_of", "neg"]
+__all__ = ["CNF", "Clause", "CNFBuilder", "var_of"]

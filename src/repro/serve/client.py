@@ -250,7 +250,7 @@ class ServeClient:
                     self._last_event_seq = sequence
                     self.on_event(wire.event_from_wire(payload))
         elif kind == "result":
-            self.result = message[1]
+            self.result = wire.result_from_wire(message[1])
         elif kind == "error":
             raise ServeError(message[1])
         else:

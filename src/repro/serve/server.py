@@ -18,7 +18,7 @@ The conversation per ingest connection::
                                     <- [events([...])] ack(seq)
     ...                             <- checkpoint_ack(seq)   (periodic)
     drain(seq, tallies)             ->
-                                    <- result(PipelineResult)
+                                    <- result(result_to_wire(...))
 
 Subscriber connections instead open with ``subscribe(campaign,
 from_sequence)`` and receive ``events`` frames — first the buffered
@@ -78,9 +78,13 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple:
 async def write_frame(
     writer: asyncio.StreamWriter, message: Tuple
 ) -> None:
-    """Ship one frame; awaits the transport's own backpressure."""
+    """Ship one frame; awaits the transport's own backpressure.
+
+    Header and payload are written separately: concatenating them would
+    copy a drained result's whole frame once more."""
     data = wire.encode(message)
-    writer.write(FRAME_LENGTH.pack(len(data)) + data)
+    writer.write(FRAME_LENGTH.pack(len(data)))
+    writer.write(data)
     await writer.drain()
 
 

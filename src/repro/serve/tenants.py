@@ -131,6 +131,9 @@ class Tenant:
         self.frames_since_checkpoint = 0
         self.failed: Optional[str] = None
         self.result: Optional[PipelineResult] = None
+        # Interns the paths and URLs of every ingest frame this session
+        # applies; a resumed tenant starts a fresh one.
+        self.decoder = wire.ObservationDecoder()
         # (event sequence, wire tuple) — replay source for subscribers.
         self.events: deque = deque(maxlen=policy.event_buffer)
         self.last_event_seq = 0
@@ -233,11 +236,13 @@ class Tenant:
     def apply(self, message: Tuple) -> Tuple[str, Any]:
         """Apply one sequenced frame; returns the reply ``(kind, value)``.
 
-        ``("ack", seq)`` for ingest/advance, ``("result", result)`` for
-        drain.  A frame at or below the applied watermark is skipped but
-        still answered — that idempotence is the whole reconnect story,
-        and it is why an ingest frame's conversion tallies are merged
-        here, after the skip check: a resent frame counts once.
+        ``("ack", seq)`` for ingest/advance, ``("result", payload)`` for
+        drain, where ``payload`` is the drained result's
+        :func:`repro.api.wire.result_to_wire` form.  A frame at or below
+        the applied watermark is skipped but still answered — that
+        idempotence is the whole reconnect story, and it is why an ingest
+        frame's conversion tallies are merged here, after the skip check:
+        a resent frame counts once.
         Raises :class:`ServeError` on a sequence gap (the client and
         daemon have irreconcilably diverged — better loud than subtly
         wrong).
@@ -249,7 +254,8 @@ class Tenant:
         kind = message[0]
         seq = message[1]
         if kind == "drain":
-            return ("result", self._drain(seq, message[2]))
+            result = self._drain(seq, message[2])
+            return ("result", wire.result_to_wire(result))
         if seq <= self.applied_seq:
             return ("ack", seq)
         if seq != self.applied_seq + 1:
@@ -260,11 +266,9 @@ class Tenant:
             )
         try:
             if kind == "ingest":
-                session = self.session
-                for payload in message[2]:
-                    session.ingest_observation(
-                        wire.observation_from_wire(payload)
-                    )
+                ingest = self.session.ingest_observation
+                for observation in self.decoder.decode(message[2]):
+                    ingest(observation)
                 self._merge_tallies(message[3])
             elif kind == "advance":
                 self.session.advance(message[2])

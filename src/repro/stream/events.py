@@ -23,7 +23,7 @@ events, delivered synchronously to subscriber callbacks:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Optional
 
 from repro.core.pipeline import (

@@ -20,8 +20,8 @@ seeded from the scenario seed, so a config generates one exact topology.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
 from repro.topology.asn import ASRegistry, ASType, AutonomousSystem
 from repro.topology.countries import COUNTRIES, Country, Region, country_by_code

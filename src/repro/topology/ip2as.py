@@ -193,20 +193,9 @@ def build_ip2as_database(
     return IpToAsDatabase(epochs)
 
 
-def exact_ip2as_database(
-    allocation: PrefixAllocation, start: int, end: int
-) -> IpToAsDatabase:
-    """A single-epoch, noise-free database (useful for tests)."""
-    epoch = IpToAsEpoch(start, end)
-    for prefix, owner in allocation.owner_pairs():
-        epoch.table.insert(prefix, owner)
-    return IpToAsDatabase([epoch])
-
-
 __all__ = [
     "PrefixTable",
     "IpToAsEpoch",
     "IpToAsDatabase",
     "build_ip2as_database",
-    "exact_ip2as_database",
 ]

@@ -9,7 +9,6 @@ allocation, IP-to-AS mapping) and the packet simulator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 MAX_ADDRESS = 2**32 - 1
 
@@ -115,16 +114,10 @@ class Prefix:
         return f"{format_ipv4(self.network)}/{self.length}"
 
 
-def split_key(address: int, prefix_len: int) -> Tuple[int, int]:
-    """Canonical ``(network, length)`` pair for LPM table keys."""
-    return (address & mask_of(prefix_len), prefix_len)
-
-
 __all__ = [
     "parse_ipv4",
     "format_ipv4",
     "mask_of",
     "Prefix",
-    "split_key",
     "MAX_ADDRESS",
 ]

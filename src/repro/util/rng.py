@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, Optional, Sequence, TypeVar
+from typing import Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -88,12 +88,4 @@ class DeterministicRNG(random.Random):
         return child
 
 
-def stable_shuffle(items: Sequence[T], seed: int, *labels: object) -> list[T]:
-    """Return a deterministically shuffled copy of ``items``."""
-    rng = DeterministicRNG(seed, *labels, "shuffle")
-    out = list(items)
-    rng.shuffle(out)
-    return out
-
-
-__all__ = ["DeterministicRNG", "derive_seed", "stable_shuffle"]
+__all__ = ["DeterministicRNG", "derive_seed"]

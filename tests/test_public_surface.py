@@ -9,6 +9,8 @@ method or property of a class listed there, must be referenced outside
 entries and the import statements that re-export it are not references.
 Names that exist for the tests alone are listed in :data:`KEPT_FOR_TESTS`,
 each with its reason.
+
+The same scan refuses module-level imports that their module never uses.
 """
 
 from __future__ import annotations
@@ -37,13 +39,8 @@ KEPT_FOR_TESTS: Dict[str, str] = {
         "the no-op middlebox the session tests substitute for a censor",
     "repro.obs.export.unescape_label_value":
         "inverse the exposition test round-trips escape_label_value through",
-    "repro.routing.policy.candidate_sort_key":
-        "the BGP decision order as one key, pinned by its own test; the "
-        "route computer inlines it",
     "repro.routing.policy.is_valley_free":
         "oracle the routing tests check every computed path against",
-    "repro.sat.cnf.neg":
-        "literal helper pinned by its own test next to var_of",
     "repro.sat.solver.check_model":
         "oracle the solver tests verify every emitted model with",
     "repro.serve.server.healthz_snapshot":
@@ -52,12 +49,6 @@ KEPT_FOR_TESTS: Dict[str, str] = {
         "oracle the topology generator tests score classification with",
     "repro.topology.countries.countries_in_region":
         "region lookup the country-table test checks coverage through",
-    "repro.topology.ip2as.exact_ip2as_database":
-        "noise-free database builder, pinned by its own test",
-    "repro.util.ipv4.split_key":
-        "LPM key helper pinned by its own test",
-    "repro.util.rng.stable_shuffle":
-        "seeded shuffle pinned by its own determinism test",
 }
 
 
@@ -185,4 +176,68 @@ def test_kept_names_exist_and_are_still_test_only(counts, surface):
     assert not stale, (
         "KEPT_FOR_TESTS entries that are gone, have a caller outside "
         "tests, or no test uses:\n  " + "\n  ".join(stale)
+    )
+
+
+def _python_sources() -> Iterator[Path]:
+    for name in ("src", "tests", *CORPUS_DIRS[1:]):
+        directory = ROOT / name
+        if directory.is_dir():
+            yield from sorted(directory.rglob("*.py"))
+
+
+def test_no_module_imports_an_unused_name():
+    """A module-level import must be used by its module: loaded as a
+    name, or named in a string that parses as an expression (a quoted
+    annotation).  Exempt are ``__init__.py`` re-exports, ``__all__``
+    names, and names another module imports from it."""
+    imported_from = set()
+    for path in _python_sources():
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                imported_from.update(
+                    (node.module, alias.name) for alias in node.names
+                )
+    unused = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = _parse(path)
+        module = ".".join(
+            path.relative_to(PACKAGE.parent).with_suffix("").parts
+        )
+        used = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Constant) and isinstance(
+                node.value, str
+            ):
+                try:
+                    quoted = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    name.id
+                    for name in ast.walk(quoted)
+                    if isinstance(name, ast.Name)
+                )
+        for node in tree.body:
+            if _is_all(node):
+                used.update(element.value for element in node.value.elts)
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and (
+                node.module == "__future__"
+            ):
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used and (module, name) not in imported_from:
+                    unused.append(
+                        f"{path.relative_to(ROOT)}:{node.lineno} {name}"
+                    )
+    assert not unused, (
+        "module-level imports their module never uses:\n  "
+        + "\n  ".join(unused)
     )

@@ -4,8 +4,6 @@ import pytest
 
 from repro.routing.bgp import RouteComputer
 from repro.routing.policy import (
-    RouteClass,
-    candidate_sort_key,
     edge_kind,
     is_valley_free,
     route_class_sequence,
@@ -91,11 +89,6 @@ class TestTieBreak:
     def test_salt_changes_rank(self):
         ranks = {tie_break_rank(1, 2, s) for s in range(10)}
         assert len(ranks) > 1
-
-    def test_sort_key_prefers_class_over_length(self):
-        customer_long = candidate_sort_key(RouteClass.CUSTOMER, 9, 5)
-        provider_short = candidate_sort_key(RouteClass.PROVIDER, 1, 0)
-        assert customer_long < provider_short
 
 
 class TestRouteComputer:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sat.cnf import CNF, Clause, CNFBuilder, neg, var_of
+from repro.sat.cnf import CNF, Clause, CNFBuilder, var_of
 
 
 class TestLiteralHelpers:
@@ -10,15 +10,9 @@ class TestLiteralHelpers:
         assert var_of(3) == 3
         assert var_of(-3) == 3
 
-    def test_neg(self):
-        assert neg(5) == -5
-        assert neg(-5) == 5
-
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             var_of(0)
-        with pytest.raises(ValueError):
-            neg(0)
 
 
 class TestClause:

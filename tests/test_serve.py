@@ -30,6 +30,7 @@ import pytest
 
 from repro.api import ExecutionPolicy, LocalizationSession, SessionConfig
 from repro.api import backends as backends_module
+from repro.api import wire
 from repro.api.transport import TransportError
 from repro.core.observations import observations_of
 from repro.serve import (
@@ -412,6 +413,44 @@ class TestEventRing:
             ], cursor
         assert tenant.events_after(newest) == []
         assert len(tenant.events_after(0)) == self.RING
+
+
+class TestTenantDecoder:
+    def test_each_tenant_and_each_resume_decodes_afresh(
+        self, tmp_path, tiny_world, tiny_dataset
+    ):
+        """A tenant owns its decoder: a second tenant's starts empty
+        while the first holds every path it applied, and so does the
+        tenant a restart resumes from the first one's state file."""
+        records = [
+            record
+            for measurement in tiny_dataset[:30]
+            for record in observations_of(
+                measurement, tiny_world.ip2as, record=wire.observation_record
+            )
+        ]
+        assert records
+        registry = TenantRegistry()
+        first = registry._wire_up(
+            "first", LocalizationSession.for_world(tiny_world, _config())
+        )
+        second = registry._wire_up(
+            "second", LocalizationSession.for_world(tiny_world, _config())
+        )
+        try:
+            assert first.apply(("ingest", 1, records, None)) == ("ack", 1)
+            assert set(first.decoder.paths) == {r[3] for r in records}
+            assert second.decoder.paths == {} and second.decoder.urls == {}
+            first.checkpoint(tmp_path)
+            resumed = registry.resume(state_path(tmp_path, "first"))
+            try:
+                assert resumed.applied_seq == 1
+                assert resumed.decoder.paths == {}
+            finally:
+                resumed.close()
+        finally:
+            first.close()
+            second.close()
 
 
 class TestAdmission:

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import gc
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -44,6 +46,7 @@ from repro.api.backends import (
     ShardedBackend,
 )
 from repro.api.transport import (
+    PipeTransport,
     ShardListener,
     TransportError,
     parse_address,
@@ -97,9 +100,12 @@ def _sharded_backend(tiny_world, policy, subscribers=()):
 
 class TestWireCodec:
     def test_observation_round_trip(self, tiny_observations):
-        for observation in tiny_observations[:50]:
-            payload = wire.observation_to_wire(observation)
-            assert wire.observation_from_wire(payload) == observation
+        records = [
+            wire.observation_to_wire(observation)
+            for observation in tiny_observations[:50]
+        ]
+        decoded = list(wire.ObservationDecoder().decode(records))
+        assert decoded == tiny_observations[:50]
 
     def test_event_round_trip(self, tiny_world, tiny_dataset):
         engine = StreamingLocalizer(
@@ -155,8 +161,10 @@ class TestWireCodec:
         with pytest.raises(ValueError):
             pickle.loads(pickle.dumps(HandBuilt()))
         with pytest.raises(ValueError):
-            wire.observation_from_wire(
-                ("u", Anomaly.DNS.value, True, (), 0, 1)
+            list(
+                wire.ObservationDecoder().decode(
+                    [("u", Anomaly.DNS.value, True, (), 0, 1)]
+                )
             )
 
     def test_hello_handshake(self):
@@ -198,13 +206,141 @@ class TestWireCodec:
         # and attach frames are refused before that config is built.
         config = {**SessionConfig(preset="tiny").to_dict(), "optimized": True}
         with pytest.raises(
-            wire.WireFormatError, match="wire format 7; this build speaks 8"
+            wire.WireFormatError, match="wire format 7; this build speaks 9"
         ):
             wire.check_hello(("hello", 7, 0, config, False, {}))
         with pytest.raises(
-            wire.WireFormatError, match="wire format 7; this daemon speaks 8"
+            wire.WireFormatError, match="wire format 7; this daemon speaks 9"
         ):
             wire.check_attach(("attach", 7, "old", config, False, None, {}))
+        # A format-8 build sends today's config but reads a drain's
+        # ``result`` frame as a whole PipelineResult; refused all the same.
+        config = SessionConfig(preset="tiny").to_dict()
+        with pytest.raises(
+            wire.WireFormatError, match="wire format 8; this build speaks 9"
+        ):
+            wire.check_hello(("hello", 8, 0, config, False, {}))
+        with pytest.raises(
+            wire.WireFormatError, match="wire format 8; this daemon speaks 9"
+        ):
+            wire.check_attach(("attach", 8, "old", config, False, None, {}))
+
+
+class TestServedRecords:
+    """Each decoded record held once; the drain encoded pair by pair."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    def test_result_round_trips_pair_by_pair(self, preset, request):
+        result = request.getfixturevalue(
+            "tiny_batch" if preset == "tiny" else "small_result"
+        )
+        payload = wire.result_to_wire(result)
+        head, keys, parts = payload
+        assert not head.observations_by_key
+        assert len(parts) == len(
+            {(key.url, key.anomaly) for key in result.observations_by_key}
+        )
+        decoded = wire.result_from_wire(
+            wire.decode(wire.encode(("result", payload)))[1]
+        )
+        assert decoded.to_dict(include_observations=True) == result.to_dict(
+            include_observations=True
+        )
+        assert list(decoded.observations_by_key) == list(
+            result.observations_by_key
+        )
+        # An observation sits in one group per granularity; after the
+        # round trip those groups still hold one object for it.
+        by_original = {}
+        for key, group in result.observations_by_key.items():
+            for original, copy in zip(
+                group, decoded.observations_by_key[key]
+            ):
+                assert by_original.setdefault(id(original), copy) is copy
+        entries = sum(map(len, result.observations_by_key.values()))
+        assert len(by_original) < entries
+
+    def test_frames_of_one_path_decode_to_one_tuple(self, tiny_observations):
+        record = wire.observation_to_wire(tiny_observations[0])
+        first, second = (
+            wire.decode(wire.encode(("obs", [record])))[1][0]
+            for _ in range(2)
+        )
+        assert first[3] is not second[3] and first[0] is not second[0]
+        decoder = wire.ObservationDecoder()
+        (a,) = decoder.decode([first])
+        (b,) = decoder.decode([second])
+        assert a == b == tiny_observations[0]
+        assert a.as_path is b.as_path
+        assert a.url is b.url
+
+    def test_records_of_one_measurement_share_their_ints(
+        self, tiny_observations
+    ):
+        measurement = tiny_observations[0].measurement_id
+        records = [
+            wire.observation_to_wire(observation)
+            for observation in tiny_observations
+            if observation.measurement_id == measurement
+        ]
+        assert len(records) > 1
+        records = wire.decode(wire.encode(("obs", records)))[1]
+        assert records[0][4] is not records[1][4]
+        observations = list(wire.ObservationDecoder().decode(records))
+        assert len({id(o.timestamp) for o in observations}) == 1
+        assert len({id(o.measurement_id) for o in observations}) == 1
+
+    def test_worker_engine_decodes_afresh_after_restore(
+        self, monkeypatch, tiny_observations
+    ):
+        """A shard worker's decoder belongs to its current engine: a
+        restore builds the engine anew, and the decoder with it."""
+        decoders = []
+
+        class Recording(wire.ObservationDecoder):
+            __slots__ = ()
+
+            def __init__(self):
+                super().__init__()
+                decoders.append(self)
+
+        monkeypatch.setattr(wire, "ObservationDecoder", Recording)
+        records = [
+            wire.observation_to_wire(observation)
+            for observation in tiny_observations
+        ]
+        before, after = records[:40], records[-40:]
+        parent_end, worker_end = multiprocessing.Pipe()
+        parent = PipeTransport(parent_end)
+        worker = threading.Thread(
+            target=backends_module.run_shard_worker,
+            args=(PipeTransport(worker_end),),
+        )
+        worker.start()
+        try:
+            parent.send(
+                wire.hello_frame(
+                    0, SessionConfig(preset="tiny").to_dict(), False
+                )
+            )
+            assert parent.recv() == ("hello", wire.WIRE_FORMAT)
+            parent.send(("obs", before))
+            parent.send(("state",))
+            kind, state = parent.recv()
+            assert kind == "state"
+            assert len(decoders) == 1
+            assert set(decoders[0].paths) == {r[3] for r in before}
+            parent.send(("restore", state))
+            assert parent.recv() == ("ok",)
+            parent.send(("obs", after))
+            parent.send(("state",))
+            parent.recv()
+        finally:
+            parent.send(("stop",))
+            worker.join(timeout=30)
+            parent.close()
+        assert len(decoders) == 2
+        assert set(decoders[1].paths) == {r[3] for r in after}
 
 
 class TestTransportPlumbing:

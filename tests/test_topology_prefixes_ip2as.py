@@ -8,11 +8,10 @@ from repro.topology.ip2as import (
     IpToAsEpoch,
     PrefixTable,
     build_ip2as_database,
-    exact_ip2as_database,
 )
 from repro.topology.prefixes import allocate_prefixes
 from repro.util.ipv4 import Prefix, parse_ipv4
-from repro.util.timeutil import DAY, WEEK
+from repro.util.timeutil import WEEK
 
 GRAPH = generate_topology(
     TopologyConfig(seed=3, country_codes=("US", "DE", "CN"), num_tier1=2)
@@ -94,13 +93,6 @@ class TestDatabase:
         )
         assert db.epoch_at(-100).start == 0
         assert db.epoch_at(100 * WEEK).start == 0
-
-    def test_exact_database_has_no_noise(self):
-        allocation = allocate_prefixes(GRAPH, seed=0)
-        db = exact_ip2as_database(allocation, 0, DAY)
-        for as_obj in GRAPH.registry:
-            address = allocation.router_address(as_obj.asn, index=1)
-            assert db.lookup(address, 0) == as_obj.asn
 
     def test_noisy_database_mostly_correct(self):
         allocation = allocate_prefixes(GRAPH, seed=0)

@@ -10,7 +10,6 @@ from repro.util.ipv4 import (
     format_ipv4,
     mask_of,
     parse_ipv4,
-    split_key,
 )
 
 addresses = st.integers(min_value=0, max_value=MAX_ADDRESS)
@@ -101,9 +100,3 @@ class TestPrefix:
         network = address & mask_of(length)
         prefix = Prefix(network, length)
         assert address in prefix
-
-    @given(addresses, prefix_lengths)
-    def test_split_key_idempotent(self, address, length):
-        network, kept = split_key(address, length)
-        assert kept == length
-        assert split_key(network, length) == (network, length)

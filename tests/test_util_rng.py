@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.util.rng import DeterministicRNG, derive_seed, stable_shuffle
+from repro.util.rng import DeterministicRNG, derive_seed
 
 
 class TestDeriveSeed:
@@ -92,18 +92,3 @@ class TestDeterministicRNG:
         first = child.random()
         # a fresh parent's fork produces the same child stream
         assert DeterministicRNG(5, "parent").fork("child").random() == first
-
-
-class TestStableShuffle:
-    def test_deterministic(self):
-        items = list(range(20))
-        assert stable_shuffle(items, 1, "x") == stable_shuffle(items, 1, "x")
-
-    def test_is_permutation(self):
-        items = list(range(20))
-        assert sorted(stable_shuffle(items, 3)) == items
-
-    def test_does_not_mutate_input(self):
-        items = [3, 1, 2]
-        stable_shuffle(items, 0)
-        assert items == [3, 1, 2]
