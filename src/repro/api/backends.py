@@ -55,8 +55,9 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.anomaly import Anomaly
 from repro.core.observations import (
     DiscardStats,
     Observation,
@@ -67,11 +68,12 @@ from repro.core.observations import (
 from repro.core.pipeline import (
     LocalizationPipeline,
     PipelineResult,
+    assemble_head,
     assemble_result,
     observation_from_dict,
     problem_key_from_dict,
 )
-from repro.core.problem import SolveStats
+from repro.core.problem import ProblemSolution, SolveStats
 from repro.core.splitting import ProblemKey, window_start
 from repro.iclab.dataset import Dataset
 from repro.iclab.measurement import Measurement
@@ -167,6 +169,11 @@ class ExecutionBackend(abc.ABC):
         """Ingest one pre-converted observation."""
 
     @abc.abstractmethod
+    def ingest_records(self, records: Iterable[Tuple]) -> None:
+        """Ingest observations as :func:`repro.api.wire.observation_to_wire`
+        records (a serve tenant's ingest frames)."""
+
+    @abc.abstractmethod
     def advance(self, timestamp: int) -> None:
         """Push the stream watermark forward without an observation."""
 
@@ -177,6 +184,11 @@ class ExecutionBackend(abc.ABC):
     @abc.abstractmethod
     def drain(self) -> PipelineResult:
         """Close every window and assemble the final result."""
+
+    def drain_wire(self) -> Tuple:
+        """The drained result as a ``result`` frame's payload
+        (:func:`repro.api.wire.records_to_wire`)."""
+        return wire.result_to_wire(self.drain())
 
     # -- one-shot dataset workload ---------------------------------------
 
@@ -232,6 +244,9 @@ class InlineBackend(ExecutionBackend):
             self.engine.attach_spans(context.spans)
         if context.subscribers:
             self.engine.subscribe(self._dispatch)
+        # Decodes ingest records; the engine's observations hold the
+        # paths and URLs it interned, so a restored engine gets a new one.
+        self.decoder = wire.ObservationDecoder()
 
     def _dispatch(self, event: VerdictEvent) -> None:
         for subscriber in self.context.subscribers:
@@ -242,6 +257,11 @@ class InlineBackend(ExecutionBackend):
 
     def ingest_observation(self, observation: Observation) -> None:
         self.engine.ingest_observation(observation)
+
+    def ingest_records(self, records: Iterable[Tuple]) -> None:
+        ingest = self.engine.ingest_observation
+        for observation in self.decoder.decode(records):
+            ingest(observation)
 
     def advance(self, timestamp: int) -> None:
         self.engine.advance(timestamp)
@@ -312,6 +332,7 @@ class InlineBackend(ExecutionBackend):
             config=self.context.config.pipeline_config(),
             late_policy=self.context.config.execution.late_policy,
         )
+        self.decoder = wire.ObservationDecoder()
         if self.context.metrics is not None:
             self.engine.attach_metrics(self.context.metrics)
         if self.context.spans is not None:
@@ -739,11 +760,10 @@ class _ShardWorker:
 
 
 class _GroupTracker:
-    """The parent's mirror of the batch splitter, fed one observation at
-    a time: global bucket-creation order plus per-problem observation
-    lists — exactly ``split_observations``'s groups, which the merged
-    drain needs for report assembly and the checkpoint needs for worker
-    state reconstruction."""
+    """The parent's mirror of the batch splitter, fed one wire record at
+    a time: global bucket-creation order plus per-problem record lists —
+    exactly ``split_observations``'s groups, as the records the parent
+    routed, which the merged drain needs for report assembly."""
 
     def __init__(self, granularities) -> None:
         self._granularities = list(granularities)
@@ -753,19 +773,17 @@ class _GroupTracker:
         ]
         self.order: List[Tuple] = []                  # bucket creation order
         self.keys: Dict[Tuple, ProblemKey] = {}
-        self.groups: Dict[Tuple, List[Observation]] = {}
-        # Hot-path index: (anomaly, url) → one {window start: group} per
-        # granularity.  The group lists are shared with ``groups``, so
-        # appends through either view land in both.
-        self._by_pair: Dict[Tuple, List[Dict[int, List[Observation]]]] = {}
+        self.groups: Dict[Tuple, List[Tuple]] = {}
+        # Hot-path index: (anomaly value, url) → one {window start: group}
+        # per granularity.  The group lists are shared with ``groups``,
+        # so appends through either view land in both.
+        self._by_pair: Dict[Tuple, List[Dict[int, List[Tuple]]]] = {}
 
-    def add(self, observation: Observation) -> None:
-        # Hot path: one call per observation per stream.  One pair
-        # lookup plus one int-keyed lookup per granularity — cheaper
-        # than building and hashing a 4-tuple bucket key three times.
-        url = observation.url
-        anomaly = observation.anomaly
-        timestamp = observation.timestamp
+    def add(self, record: Tuple) -> None:
+        # Hot path: one call per record per stream.  One pair lookup
+        # plus one int-keyed lookup per granularity — cheaper than
+        # building and hashing a 4-tuple bucket key three times.
+        url, anomaly, _, _, timestamp, _ = record
         per_granularity = self._by_pair.get((anomaly, url))
         if per_granularity is None:
             per_granularity = self._by_pair[(anomaly, url)] = [
@@ -781,25 +799,25 @@ class _GroupTracker:
                 self.order.append(bucket)
                 self.keys[bucket] = ProblemKey(
                     url=url,
-                    anomaly=anomaly,
+                    anomaly=Anomaly(anomaly),
                     granularity=self._granularities[index],
                     window=TimeWindow(start, start + size),
                 )
                 self.groups[bucket] = group
-            group.append(observation)
+            group.append(record)
 
-    def register(self, key: ProblemKey, observations: List[Observation]):
+    def register(self, key: ProblemKey, records: List[Tuple]) -> None:
         """Adopt one problem wholesale (checkpoint restore)."""
         index = self._granularities.index(key.granularity)
-        bucket = (key.anomaly, key.url, index, key.window.start)
+        anomaly = key.anomaly.value
+        bucket = (anomaly, key.url, index, key.window.start)
         self.order.append(bucket)
         self.keys[bucket] = key
-        group = list(observations)
-        self.groups[bucket] = group
+        self.groups[bucket] = records
         per_granularity = self._by_pair.setdefault(
-            (key.anomaly, key.url), [{} for _ in self.sizes]
+            (anomaly, key.url), [{} for _ in self.sizes]
         )
-        per_granularity[index][key.window.start] = group
+        per_granularity[index][key.window.start] = records
 
 
 def _key_id(key: ProblemKey) -> Tuple[str, str, str, int]:
@@ -939,6 +957,10 @@ class ShardedBackend(ExecutionBackend):
             config.execution.late_policy == LATE_ERROR
         )
         self._tracker = _GroupTracker(pipeline_config.granularities)
+        # Interns the records this backend routes and its tracker holds:
+        # each URL and path once, one timestamp and measurement id object
+        # per measurement.
+        self.decoder = wire.ObservationDecoder()
         self._discard = DiscardStats()
         self._stats = StreamStats()     # parent-side ingest counters
         self._conversion_cache: Dict = {}
@@ -962,6 +984,11 @@ class ShardedBackend(ExecutionBackend):
         self._watermark: Optional[int] = None
         self._sequence = 0              # merged event stream counter
         self._last_measurement_id: Optional[int] = None
+        # The drain's merged solutions and record groups, then the
+        # decoded result when drain() asks for one.
+        self._merged: Optional[
+            Tuple[List[ProblemSolution], Dict[ProblemKey, List[Tuple]]]
+        ] = None
         self._drained: Optional[PipelineResult] = None
         self._restore_state: Optional[Dict[str, Any]] = None
         # Counters/logs carried over from a restored checkpoint; worker
@@ -1049,8 +1076,7 @@ class ShardedBackend(ExecutionBackend):
         — the rebalance work list (restored problems included, since
         ``restore()`` registers them with the tracker)."""
         return [
-            (url, anomaly.value)
-            for (anomaly, url) in list(self._tracker._by_pair)
+            (url, anomaly) for (anomaly, url) in list(self._tracker._by_pair)
         ]
 
     # -- worker lifecycle --------------------------------------------------
@@ -1221,65 +1247,75 @@ class ShardedBackend(ExecutionBackend):
         self._check_not_drained()
         self._stats.measurements += 1
         self._last_measurement_id = measurement.measurement_id
-        converted = observations_of(
+        records = observations_of(
             measurement,
             self.context.ip2as,
             anomalies=self._anomalies,
             stats=self._discard,
             conversion_cache=self._conversion_cache,
+            record=wire.observation_record,
         )
-        if not converted:
+        if not records:
             self._stats.discarded_measurements += 1
             return
-        for observation in converted:
-            self._ingest(observation, count_measurement=False)
+        self._route(self.decoder.records(records), count_measurement=False)
 
     def ingest_observation(self, observation: Observation) -> None:
         self._check_not_drained()
-        self._ingest(observation, count_measurement=True)
+        self._route(
+            self.decoder.records((wire.observation_to_wire(observation),)),
+            count_measurement=True,
+        )
 
-    def _ingest(
-        self, observation: Observation, count_measurement: bool
+    def ingest_records(self, records: Iterable[Tuple]) -> None:
+        self._check_not_drained()
+        self._route(self.decoder.records(records), count_measurement=True)
+
+    def _route(
+        self, records: Iterable[Tuple], count_measurement: bool
     ) -> None:
-        # Hot path: every observation of every stream funnels through
-        # here — prefer locals and single attribute reads.
-        timestamp = observation.timestamp
-        if timestamp < 0:
-            raise ValueError(f"negative timestamp: {timestamp}")
+        """Track interned wire records and route each to its shard's
+        buffer: the one ingest path, which never builds an observation.
+
+        Hot path: every record of every stream funnels through here —
+        prefer locals and single attribute reads."""
         stats = self._stats
-        if (
-            count_measurement
-            and observation.measurement_id != self._last_measurement_id
-        ):
-            stats.measurements += 1
-            self._last_measurement_id = observation.measurement_id
-        stats.observations += 1
-        if self._watermark is None or timestamp > self._watermark:
-            self._watermark = timestamp
-        if self._late_error:
-            # The strict-ordering policy is a *global* promise; shard
-            # engines only see their own lagging watermarks, so the
-            # parent enforces it against the global one (the same
-            # already-elapsed-window rule the inline engine applies).
-            for _, size in self._tracker.sizes:
-                if window_start(timestamp, size) + size <= self._watermark:
-                    raise StreamOrderError(
-                        f"late observation at t={timestamp} for already-"
-                        f"elapsed {size}s window"
-                    )
-        self._tracker.add(observation)
-        # Route on the encoded tuple's (url, anomaly value) pair.
-        payload = wire.observation_to_wire(observation)
-        route = (payload[0], payload[1])
-        shard = self._shard_cache.get(route)
-        if shard is None:
-            shard = self._shard_cache[route] = self._placement.shard_for(
-                route[0], route[1]
-            )
-        buffer = self._buffers[shard]
-        buffer.append(payload)
-        if len(buffer) >= self.chunk_size:
-            self._flush(shard)
+        track = self._tracker.add
+        shard_cache = self._shard_cache
+        chunk_size = self.chunk_size
+        for record in records:
+            timestamp = record[4]
+            if timestamp < 0:
+                raise ValueError(f"negative timestamp: {timestamp}")
+            if count_measurement and record[5] != self._last_measurement_id:
+                stats.measurements += 1
+                self._last_measurement_id = record[5]
+            stats.observations += 1
+            if self._watermark is None or timestamp > self._watermark:
+                self._watermark = timestamp
+            if self._late_error:
+                # The strict-ordering policy is a *global* promise; shard
+                # engines only see their own lagging watermarks, so the
+                # parent enforces it against the global one (the same
+                # already-elapsed-window rule the inline engine applies).
+                for _, size in self._tracker.sizes:
+                    if window_start(timestamp, size) + size <= self._watermark:
+                        raise StreamOrderError(
+                            f"late observation at t={timestamp} for "
+                            f"already-elapsed {size}s window"
+                        )
+            track(record)
+            # Route on the record's (url, anomaly value) pair.
+            route = (record[0], record[1])
+            shard = shard_cache.get(route)
+            if shard is None:
+                shard = shard_cache[route] = self._placement.shard_for(
+                    route[0], route[1]
+                )
+            buffer = self._buffers[shard]
+            buffer.append(record)
+            if len(buffer) >= chunk_size:
+                self._flush(shard)
 
     def advance(self, timestamp: int) -> None:
         self._check_not_drained()
@@ -1301,7 +1337,7 @@ class ShardedBackend(ExecutionBackend):
         self._discard.merge(stats)
 
     def _check_not_drained(self) -> None:
-        if self._drained is not None:
+        if self._merged is not None:
             raise RuntimeError("backend already drained")
 
     # -- worker I/O --------------------------------------------------------
@@ -1709,9 +1745,13 @@ class ShardedBackend(ExecutionBackend):
 
     # -- draining ----------------------------------------------------------
 
-    def drain(self) -> PipelineResult:
-        if self._drained is not None:
-            return self._drained
+    def _merge(
+        self,
+    ) -> Tuple[List[ProblemSolution], Dict[ProblemKey, List[Tuple]]]:
+        """Drain every shard and merge: the solutions, and each problem's
+        records, in the parent's global creation order.  Once."""
+        if self._merged is not None:
+            return self._merged
         if self._spans is not None:
             with self._spans.span("drain.collect", category="fabric"):
                 payloads = self._collect(("drain",), "drain")
@@ -1758,7 +1798,7 @@ class ShardedBackend(ExecutionBackend):
         # the batch splitter would have produced, which downstream
         # consumers (reduction fractions) are contractually tied to.
         solutions = []
-        groups: Dict[ProblemKey, List[Observation]] = {}
+        groups: Dict[ProblemKey, List[Tuple]] = {}
         tracker = self._tracker
         missing = object()
         for bucket in tracker.order:
@@ -1769,9 +1809,7 @@ class ShardedBackend(ExecutionBackend):
             if solution is not None:
                 solutions.append(solution)
             groups[key] = tracker.groups[bucket]
-        self._drained = assemble_result(
-            solutions, groups, self._discard, self.context.country_by_asn
-        )
+        self._merged = (solutions, groups)
         if self._spans is not None:
             self._spans.record(
                 "drain.merge",
@@ -1781,7 +1819,33 @@ class ShardedBackend(ExecutionBackend):
                 problems=len(solutions_by_key),
             )
         self.close()
+        return self._merged
+
+    def drain(self) -> PipelineResult:
+        """The merged result, its record groups decoded in process, each
+        record once however many groups hold it."""
+        if self._drained is None:
+            solutions, groups = self._merge()
+            decoded = wire.observation_groups(groups.values())
+            self._drained = assemble_result(
+                solutions,
+                dict(zip(groups, decoded)),
+                self._discard,
+                self.context.country_by_asn,
+            )
         return self._drained
+
+    def drain_wire(self) -> Tuple:
+        """The merged result as a ``result`` frame's payload, its groups
+        the records this backend routed: no observation is built."""
+        solutions, groups = self._merge()
+        head = assemble_head(
+            solutions,
+            lambda key: [record[3] for record in groups[key] if record[2]],
+            self._discard,
+            self.context.country_by_asn,
+        )
+        return wire.records_to_wire(head, groups)
 
     def _adopt_telemetry(
         self, index: int, telemetry: Dict[str, Any]
@@ -1839,8 +1903,12 @@ class ShardedBackend(ExecutionBackend):
         if without_churn:
             observations = first_path_only(observations)
         with maybe_stage(timer, "pipeline.sharded"):
-            for observation in observations:
-                self._ingest(observation, count_measurement=True)
+            self._route(
+                self.decoder.records(
+                    map(wire.observation_to_wire, observations)
+                ),
+                count_measurement=True,
+            )
             return self.drain()
 
     # -- checkpointing -----------------------------------------------------
@@ -1857,7 +1925,7 @@ class ShardedBackend(ExecutionBackend):
         baseline (it covers every frame sent so far), truncating the
         replay log for free.
         """
-        if self._drained is not None:
+        if self._merged is not None:
             raise RuntimeError(
                 "backend already drained; checkpoint before drain()"
             )
@@ -1909,13 +1977,21 @@ class ShardedBackend(ExecutionBackend):
             )
         if self._workers is not None or self._tracker.order:
             raise RuntimeError("restore() must precede any ingestion")
+        # A record sits in one problem per granularity; the state holds
+        # it once per problem, the tracker once.
+        held: Dict[Tuple, Tuple] = {}
         for entry in state["problems"]:
             key = problem_key_from_dict(entry["key"])
             self._tracker.register(
                 key,
                 [
-                    observation_from_dict(payload)
-                    for payload in entry["observations"]
+                    held.setdefault(record, record)
+                    for record in self.decoder.records(
+                        wire.observation_to_wire(
+                            observation_from_dict(payload)
+                        )
+                        for payload in entry["observations"]
+                    )
                 ],
             )
         self._watermark = state["watermark"]

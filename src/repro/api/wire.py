@@ -113,6 +113,18 @@ pair holding that pair's groups.  Encoding memory is bounded by one
 pair, and a pair's day, week and month groups still share one object
 per observation.  :func:`result_from_wire` rebuilds the dict in the
 drained order.  A format-8 client would take the tuple for a result.
+
+Format 10 ships records where format 9 shipped objects.  A ``result``
+part holds its pair's groups as :func:`observation_to_wire` records, one
+record object per observation however many groups hold it; a sharded
+serve tenant pickles the records it routed without ever building an
+:class:`Observation`, and :func:`result_from_wire` decodes each record
+once.  An ``events`` tuple carries its problem key once: the solution
+tuple has no key of its own (an event's solution is always of the
+event's problem), and the ``candidates`` element is gone, since it is
+:func:`repro.stream.events.candidates_of` the solution.  A format-9
+peer would read the result parts as observations and the event tuples
+one element off.
 """
 
 from __future__ import annotations
@@ -126,11 +138,11 @@ from repro.core.observations import Observation, _observation
 from repro.core.pipeline import PipelineResult
 from repro.core.problem import ProblemSolution, SolutionStatus
 from repro.core.splitting import Granularity, ProblemKey
-from repro.stream.events import VerdictEvent, VerdictKind
+from repro.stream.events import VerdictEvent, VerdictKind, candidates_of
 from repro.util.collector import paused
 from repro.util.timeutil import TimeWindow
 
-WIRE_FORMAT = 9
+WIRE_FORMAT = 10
 
 _PROTOCOL = pickle.HIGHEST_PROTOCOL
 
@@ -152,6 +164,12 @@ _VALUE_OF_ANOMALY = {member: member.value for member in Anomaly}
 _VALUE_OF_GRANULARITY = {member: member.value for member in Granularity}
 _VALUE_OF_STATUS = {member: member.value for member in SolutionStatus}
 _VALUE_OF_VERDICT = {member: member.value for member in VerdictKind}
+# Each anomaly value to the member's own string: held records share it.
+_ANOMALY_VALUE = {member.value: member.value for member in Anomaly}
+# The event kinds whose ``candidates`` are their solution's.
+_CANDIDATE_KINDS = frozenset(
+    (VerdictKind.STATUS_CHANGED, VerdictKind.CANDIDATES_SHRANK)
+)
 
 
 class WireFormatError(RuntimeError):
@@ -224,7 +242,7 @@ def observation_record(
 
 
 class ObservationDecoder:
-    """Wire records → :class:`Observation` objects, each repeat held once.
+    """Wire records with each repeat held once, and their observations.
 
     A campaign's observations repeat a few hundred AS paths and a few
     dozen URLs, and a measurement's per-anomaly records arrive together
@@ -232,11 +250,14 @@ class ObservationDecoder:
     copies of all of them for every frame; the decoder maps each path
     tuple and URL to the first equal one it saw, and reuses the previous
     record's ``timestamp`` and ``measurement_id`` objects when the
-    measurement id repeats, so the engine holds each once.
+    measurement id repeats, so whoever keeps the records (:meth:`records`)
+    or their observations (:meth:`decode`) holds each once.
 
-    One decoder per session: a serve tenant owns one, and a shard worker
-    starts one with each engine it builds or restores.  The tables grow
-    with the session's distinct paths and URLs and die with it.
+    One decoder per session: a sharded backend interns the records it
+    routes through one, an inline backend decodes through one, and a
+    shard worker starts one with each engine it builds or restores.  The
+    tables grow with the session's distinct paths and URLs and die with
+    it.
     """
 
     __slots__ = ("paths", "urls", "_previous")
@@ -248,10 +269,11 @@ class ObservationDecoder:
         # path as received and as interned.
         self._previous: Tuple[Any, ...] = (None, None, None, None)
 
-    def decode(self, records: Iterable[Tuple]) -> Iterator[Observation]:
-        """The observations of ``records``, in order."""
+    def records(self, records: Iterable[Tuple]) -> Iterator[Tuple]:
+        """``records``, in order, each rebuilt from the held objects."""
         paths = self.paths
         urls = self.urls
+        anomalies = _ANOMALY_VALUE
         last_id, last_timestamp, last_path, interned = self._previous
         for url, anomaly, detected, as_path, timestamp, measurement_id in (
             records
@@ -268,16 +290,53 @@ class ObservationDecoder:
                 last_path = as_path
                 interned = paths.get(as_path)
                 if interned is None:
+                    if not as_path:
+                        raise ValueError(
+                            "observation requires a non-empty AS path"
+                        )
                     interned = paths[as_path] = as_path
-            yield _observation(
+            yield (
                 urls.setdefault(url, url),
-                _ANOMALY_BY_VALUE[anomaly],
+                anomalies[anomaly],
                 detected,
                 interned,
                 timestamp,
                 measurement_id,
             )
         self._previous = (last_id, last_timestamp, last_path, interned)
+
+    def decode(self, records: Iterable[Tuple]) -> Iterator[Observation]:
+        """The observations of ``records``, in order."""
+        by_value = _ANOMALY_BY_VALUE
+        for url, anomaly, detected, as_path, timestamp, measurement_id in (
+            self.records(records)
+        ):
+            yield _observation(
+                url, by_value[anomaly], detected, as_path, timestamp,
+                measurement_id,
+            )
+
+
+def observation_groups(
+    record_groups: Iterable[List[Tuple]],
+) -> List[List[Observation]]:
+    """Groups of records as groups of observations, one observation per
+    record object however many groups hold it."""
+    by_value = _ANOMALY_BY_VALUE
+    made: Dict[int, Observation] = {}
+    decoded = []
+    for records in record_groups:
+        group = []
+        for record in records:
+            observation = made.get(id(record))
+            if observation is None:
+                url, anomaly, detected, as_path, timestamp, mid = record
+                observation = made[id(record)] = _observation(
+                    url, by_value[anomaly], detected, as_path, timestamp, mid
+                )
+            group.append(observation)
+        decoded.append(group)
+    return decoded
 
 
 # -- problem keys ------------------------------------------------------------
@@ -306,8 +365,9 @@ def key_from_wire(payload: Tuple) -> ProblemKey:
 
 
 def solution_to_wire(solution: ProblemSolution) -> Tuple:
+    """A solution as a flat tuple without its key, which the carrying
+    event already holds."""
     return (
-        key_to_wire(solution.key),
         _VALUE_OF_STATUS[solution.status],
         solution.num_solutions,
         solution.capped,
@@ -320,18 +380,18 @@ def solution_to_wire(solution: ProblemSolution) -> Tuple:
     )
 
 
-def solution_from_wire(payload: Tuple) -> ProblemSolution:
+def solution_from_wire(payload: Tuple, key: ProblemKey) -> ProblemSolution:
     return ProblemSolution(
-        key=key_from_wire(payload[0]),
-        status=_STATUS_BY_VALUE[payload[1]],
-        num_solutions=payload[2],
-        capped=payload[3],
-        observed_ases=frozenset(payload[4]),
-        censors=frozenset(payload[5]),
-        potential_censors=frozenset(payload[6]),
-        eliminated=frozenset(payload[7]),
-        clause_count=payload[8],
-        positive_clause_count=payload[9],
+        key=key,
+        status=_STATUS_BY_VALUE[payload[0]],
+        num_solutions=payload[1],
+        capped=payload[2],
+        observed_ases=frozenset(payload[3]),
+        censors=frozenset(payload[4]),
+        potential_censors=frozenset(payload[5]),
+        eliminated=frozenset(payload[6]),
+        clause_count=payload[7],
+        positive_clause_count=payload[8],
     )
 
 
@@ -342,7 +402,10 @@ def event_to_wire(event: VerdictEvent) -> Tuple:
     """One verdict event as a flat tuple.
 
     Index ``EVENT_SEQUENCE_INDEX`` carries the emitting engine's *local*
-    sequence counter — the recovery dedup key."""
+    sequence counter — the recovery dedup key.  The key travels once:
+    an event's solution is of the event's own problem.  ``candidates``
+    does not travel: it is :func:`candidates_of` the solution."""
+    solution = event.solution
     return (
         _VALUE_OF_VERDICT[event.kind],
         key_to_wire(event.key),
@@ -350,71 +413,83 @@ def event_to_wire(event: VerdictEvent) -> Tuple:
         event.timestamp,
         event.observations_ingested,
         event.measurements_ingested,
-        (
-            solution_to_wire(event.solution)
-            if event.solution is not None
-            else None
-        ),
+        solution_to_wire(solution) if solution is not None else None,
         event.asn,
         event.previous_status,
-        (
-            tuple(event.candidates)
-            if event.candidates is not None
-            else None
-        ),
     )
 
 
 def event_from_wire(payload: Tuple) -> VerdictEvent:
+    kind = _VERDICT_BY_VALUE[payload[0]]
+    key = key_from_wire(payload[1])
+    solution = (
+        solution_from_wire(payload[6], key)
+        if payload[6] is not None
+        else None
+    )
     return VerdictEvent(
-        kind=_VERDICT_BY_VALUE[payload[0]],
-        key=key_from_wire(payload[1]),
+        kind=kind,
+        key=key,
         sequence=payload[2],
         timestamp=payload[3],
         observations_ingested=payload[4],
         measurements_ingested=payload[5],
-        solution=(
-            solution_from_wire(payload[6])
-            if payload[6] is not None
-            else None
-        ),
+        solution=solution,
         asn=payload[7],
         previous_status=payload[8],
         candidates=(
-            frozenset(payload[9]) if payload[9] is not None else None
+            candidates_of(solution) if kind in _CANDIDATE_KINDS else None
         ),
     )
 
 
-# -- drained results (format 9) ----------------------------------------------
+# -- drained results (formats 9 and 10) --------------------------------------
 
 
-def result_to_wire(result: PipelineResult) -> Tuple:
+def records_to_wire(
+    head: PipelineResult, groups: Dict[ProblemKey, List[Tuple]]
+) -> Tuple:
     """A drained result as ``(head, keys, parts)`` for a ``result`` frame.
 
-    ``head`` is the result with no observation groups, ``keys`` the
-    problem keys of ``observations_by_key`` in order, and ``parts`` one
-    pickled list per (URL, anomaly) pair, in order of the pair's first
-    key, holding that pair's groups in key order.  Each ``dumps`` memo
-    lives for one pair only; every group an observation belongs to is
-    in its own pair, so the pair's pickle keeps them sharing it."""
-    by_pair: Dict[Tuple[str, Anomaly], List[List[Observation]]] = {}
-    for key, group in result.observations_by_key.items():
+    ``head`` is the result with no observation groups, ``groups`` its
+    groups as records in key order, one record object per observation.
+    ``keys`` is that order, and ``parts`` one pickled list per (URL,
+    anomaly) pair, in order of the pair's first key, holding that pair's
+    groups in key order.  Each ``dumps`` memo lives for one pair only;
+    every group a record belongs to is in its own pair, so the pair's
+    pickle keeps them sharing it."""
+    by_pair: Dict[Tuple[str, Anomaly], List[List[Tuple]]] = {}
+    for key, group in groups.items():
         by_pair.setdefault((key.url, key.anomaly), []).append(group)
     with paused():
         parts = tuple(
-            pickle.dumps(groups, _PROTOCOL) for groups in by_pair.values()
+            pickle.dumps(pair, _PROTOCOL) for pair in by_pair.values()
         )
-    return (
-        dataclasses.replace(result, observations_by_key={}),
-        tuple(result.observations_by_key),
-        parts,
+    return (head, tuple(groups), parts)
+
+
+def result_to_wire(result: PipelineResult) -> Tuple:
+    """:func:`records_to_wire` of a result holding observations."""
+    records: Dict[int, Tuple] = {}
+    groups = {}
+    for key, group in result.observations_by_key.items():
+        encoded = groups[key] = []
+        for observation in group:
+            record = records.get(id(observation))
+            if record is None:
+                record = records[id(observation)] = observation_to_wire(
+                    observation
+                )
+            encoded.append(record)
+    return records_to_wire(
+        dataclasses.replace(result, observations_by_key={}), groups
     )
 
 
 def result_from_wire(payload: Tuple) -> PipelineResult:
-    """Inverse of :func:`result_to_wire`: one part unpickled at a time,
-    as the keys first reach its pair."""
+    """Inverse of :func:`records_to_wire`: one part unpickled and
+    decoded at a time, as the keys first reach its pair, each record
+    once however many groups hold it."""
     head, keys, parts = payload
     remaining = iter(parts)
     by_pair: Dict[Tuple[str, Anomaly], Iterator[List[Observation]]] = {}
@@ -424,7 +499,9 @@ def result_from_wire(payload: Tuple) -> PipelineResult:
             pair = (key.url, key.anomaly)
             groups = by_pair.get(pair)
             if groups is None:
-                groups = by_pair[pair] = iter(pickle.loads(next(remaining)))
+                groups = by_pair[pair] = iter(
+                    observation_groups(pickle.loads(next(remaining)))
+                )
             observations_by_key[key] = next(groups)
     return dataclasses.replace(head, observations_by_key=observations_by_key)
 
@@ -672,12 +749,14 @@ __all__ = [
     "observation_to_wire",
     "observation_record",
     "ObservationDecoder",
+    "observation_groups",
     "key_to_wire",
     "key_from_wire",
     "solution_to_wire",
     "solution_from_wire",
     "event_to_wire",
     "event_from_wire",
+    "records_to_wire",
     "result_to_wire",
     "result_from_wire",
     "hello_frame",

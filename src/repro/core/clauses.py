@@ -101,6 +101,11 @@ class PathLedger:
         return frozenset(self._observed)
 
     @property
+    def observed_count(self) -> int:
+        """How many ASes :meth:`observed_ases` holds, without the copy."""
+        return len(self._observed)
+
+    @property
     def clause_count(self) -> int:
         """CNF clause count: one per censored path, one unit per AS of
         each clean path (duplicates within a path collapse inside a

@@ -17,7 +17,7 @@ paper's separate "leaks (AS)" and "leaks (Country)" columns in Table 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.core.observations import Observation
 from repro.core.problem import ProblemSolution, SolutionStatus
@@ -90,17 +90,33 @@ def identify_leakage(
     country_by_asn: Dict[int, str],
 ) -> LeakageReport:
     """Run the §3.3 procedure over all UNIQUE-solution problems."""
+    return leakage_from_paths(
+        solutions,
+        lambda key: [
+            observation.as_path
+            for observation in observations_by_key.get(key, ())
+            if observation.detected
+        ],
+        country_by_asn,
+    )
+
+
+def leakage_from_paths(
+    solutions: Iterable[ProblemSolution],
+    censored_paths: Callable[[ProblemKey], Iterable[Tuple[int, ...]]],
+    country_by_asn: Dict[int, str],
+) -> LeakageReport:
+    """:func:`identify_leakage` over each UNIQUE problem's censored paths,
+    one per censored observation in arrival order, as
+    ``censored_paths(key)`` gives them — all the procedure reads of a
+    problem's observations."""
     report = LeakageReport()
     for solution in solutions:
         if solution.status is not SolutionStatus.UNIQUE:
             continue
         if not solution.censors:
             continue  # all-clean problem: nothing to leak
-        observations = observations_by_key.get(solution.key, ())
-        for observation in observations:
-            if not observation.detected:
-                continue
-            path = observation.as_path
+        for path in censored_paths(solution.key):
             for censor in solution.censors:
                 if censor not in path:
                     continue
@@ -125,4 +141,9 @@ def identify_leakage(
     return report
 
 
-__all__ = ["LeakageRecord", "LeakageReport", "identify_leakage"]
+__all__ = [
+    "LeakageRecord",
+    "LeakageReport",
+    "identify_leakage",
+    "leakage_from_paths",
+]

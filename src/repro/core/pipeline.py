@@ -13,11 +13,25 @@ the first observed distinct path per pair) before problem construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.anomaly import Anomaly
 from repro.core.censors import CensorFinding, CensorReport, identify_censors
-from repro.core.leakage import LeakageRecord, LeakageReport, identify_leakage
+from repro.core.leakage import (
+    LeakageRecord,
+    LeakageReport,
+    identify_leakage,
+    leakage_from_paths,
+)
 from repro.core.aspath import InconclusiveReason
 from repro.core.observations import (
     DiscardStats,
@@ -437,16 +451,50 @@ def assemble_result(
     solutions and groups, so both entry points produce byte-identical
     results from equal inputs.
     """
-    censor_report = identify_censors(solutions, country_by_asn=country_by_asn)
-    leakage_report = identify_leakage(solutions, groups, country_by_asn)
-    reduction_stats = reduction_of(solutions)
+    return _assemble(
+        solutions,
+        groups,
+        discard_stats,
+        country_by_asn,
+        identify_leakage(solutions, groups, country_by_asn),
+    )
+
+
+def assemble_head(
+    solutions: List[ProblemSolution],
+    censored_paths: Callable[[ProblemKey], Iterable[Tuple[int, ...]]],
+    discard_stats: DiscardStats,
+    country_by_asn: Dict[int, str],
+) -> PipelineResult:
+    """:func:`assemble_result` without the observation groups, for a
+    caller that holds them in another form: leakage reads only each
+    problem's censored paths, ``censored_paths(key)``
+    (:func:`~repro.core.leakage.leakage_from_paths`)."""
+    return _assemble(
+        solutions,
+        {},
+        discard_stats,
+        country_by_asn,
+        leakage_from_paths(solutions, censored_paths, country_by_asn),
+    )
+
+
+def _assemble(
+    solutions: List[ProblemSolution],
+    groups: Dict[ProblemKey, List[Observation]],
+    discard_stats: DiscardStats,
+    country_by_asn: Dict[int, str],
+    leakage_report: LeakageReport,
+) -> PipelineResult:
     return PipelineResult(
         solutions=solutions,
         observations_by_key=groups,
         discard_stats=discard_stats,
-        censor_report=censor_report,
+        censor_report=identify_censors(
+            solutions, country_by_asn=country_by_asn
+        ),
         leakage_report=leakage_report,
-        reduction_stats=reduction_stats,
+        reduction_stats=reduction_of(solutions),
     )
 
 
@@ -466,6 +514,7 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "LocalizationPipeline",
+    "assemble_head",
     "assemble_result",
     "solution_to_dict",
     "solution_from_dict",

@@ -18,7 +18,7 @@ The conversation per ingest connection::
                                     <- [events([...])] ack(seq)
     ...                             <- checkpoint_ack(seq)   (periodic)
     drain(seq, tallies)             ->
-                                    <- result(result_to_wire(...))
+                                    <- result(records_to_wire(...))
 
 Subscriber connections instead open with ``subscribe(campaign,
 from_sequence)`` and receive ``events`` frames — first the buffered
@@ -75,16 +75,24 @@ async def read_frame(reader: asyncio.StreamReader) -> Tuple:
     return wire.decode(await reader.readexactly(length))
 
 
+# Frames below this go out in one write, header and payload joined:
+# acks and event batches then cost one send each.  Larger ones (a
+# drained result) are written in two, since joining would copy the
+# whole frame once more.
+JOIN_BELOW = 64 << 10
+
+
 async def write_frame(
     writer: asyncio.StreamWriter, message: Tuple
 ) -> None:
-    """Ship one frame; awaits the transport's own backpressure.
-
-    Header and payload are written separately: concatenating them would
-    copy a drained result's whole frame once more."""
+    """Ship one frame; awaits the transport's own backpressure."""
     data = wire.encode(message)
-    writer.write(FRAME_LENGTH.pack(len(data)))
-    writer.write(data)
+    header = FRAME_LENGTH.pack(len(data))
+    if len(data) < JOIN_BELOW:
+        writer.write(header + data)
+    else:
+        writer.write(header)
+        writer.write(data)
     await writer.drain()
 
 

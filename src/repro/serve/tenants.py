@@ -36,7 +36,6 @@ from repro.api import wire
 from repro.api.checkpoint import CHECKPOINT_FORMAT
 from repro.api.config import SessionConfig
 from repro.api.session import LocalizationSession
-from repro.core.pipeline import PipelineResult
 from repro.obs import log as obslog
 from repro.stream.checkpoint import (
     discard_from_dict,
@@ -130,10 +129,8 @@ class Tenant:
         self.checkpoint_seq = applied_seq
         self.frames_since_checkpoint = 0
         self.failed: Optional[str] = None
-        self.result: Optional[PipelineResult] = None
-        # Interns the paths and URLs of every ingest frame this session
-        # applies; a resumed tenant starts a fresh one.
-        self.decoder = wire.ObservationDecoder()
+        # The drained result as its ``result`` frame payload.
+        self.result: Optional[Tuple] = None
         # (event sequence, wire tuple) — replay source for subscribers.
         self.events: deque = deque(maxlen=policy.event_buffer)
         self.last_event_seq = 0
@@ -238,7 +235,9 @@ class Tenant:
 
         ``("ack", seq)`` for ingest/advance, ``("result", payload)`` for
         drain, where ``payload`` is the drained result's
-        :func:`repro.api.wire.result_to_wire` form.  A frame at or below
+        :func:`repro.api.wire.records_to_wire` form.  Ingest records go
+        to the backend as they are: a sharded backend routes them
+        without building an observation.  A frame at or below
         the applied watermark is skipped but still answered — that
         idempotence is the whole reconnect story, and it is why an ingest
         frame's conversion tallies are merged here, after the skip check:
@@ -254,8 +253,7 @@ class Tenant:
         kind = message[0]
         seq = message[1]
         if kind == "drain":
-            result = self._drain(seq, message[2])
-            return ("result", wire.result_to_wire(result))
+            return ("result", self._drain(seq, message[2]))
         if seq <= self.applied_seq:
             return ("ack", seq)
         if seq != self.applied_seq + 1:
@@ -266,9 +264,7 @@ class Tenant:
             )
         try:
             if kind == "ingest":
-                ingest = self.session.ingest_observation
-                for observation in self.decoder.decode(message[2]):
-                    ingest(observation)
+                self.session.backend.ingest_records(message[2])
                 self._merge_tallies(message[3])
             elif kind == "advance":
                 self.session.advance(message[2])
@@ -316,12 +312,12 @@ class Tenant:
                 discard_from_dict(discard_payload)
             )
 
-    def _drain(self, seq: int, discard_payload) -> PipelineResult:
+    def _drain(self, seq: int, discard_payload) -> Tuple:
         if self.result is not None:
             return self.result
         try:
             self._merge_tallies(discard_payload)
-            self.result = self.session.drain()
+            self.result = self.session.backend.drain_wire()
         except Exception as exc:
             self.fail(f"{type(exc).__name__}: {exc}")
             raise ServeError(
@@ -330,12 +326,13 @@ class Tenant:
         if seq > self.applied_seq:
             self.applied_seq = seq
             self._note_applied("drain")
+        head = self.result[0]
         _log.info(
             "serve.tenant.drain",
             extra=obslog.fields(
                 tenant=self.campaign,
-                problems=len(self.result.solutions),
-                censors=len(self.result.identified_censor_asns),
+                problems=len(head.solutions),
+                censors=len(head.identified_censor_asns),
             ),
         )
         return self.result

@@ -5,8 +5,10 @@ maintains every open (URL, anomaly, window) tomography problem
 incrementally: each observation appends at most one path to its
 problems' ledgers and grows their set-algebra closure (the batch solve's
 :class:`~repro.core.problem.Closure`) in place, and verdict-delta events
-go out to subscribers as the candidate sets tighten.  Windows are keyed
-and bucketed exactly like the batch splitter
+go out to subscribers as the candidate sets tighten.  A verdict is built
+only for an event: between events each problem tracks just its status
+and candidate count (:meth:`~repro.stream.state.ProblemState.track`).
+Windows are keyed and bucketed exactly like the batch splitter
 (:func:`repro.core.splitting.window_start`), close as the stream
 watermark passes their end, and confirm censors only at close — so a
 confirmed identification can never be retracted by a later in-order
@@ -41,7 +43,12 @@ from repro.iclab.measurement import Measurement
 from repro.obs import log as obslog
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import SpanRecorder, TRACK_ENGINE
-from repro.stream.events import Subscriber, VerdictEvent, VerdictKind
+from repro.stream.events import (
+    Subscriber,
+    VerdictEvent,
+    VerdictKind,
+    candidates_of,
+)
 from repro.stream.state import ProblemState, StreamStats
 from repro.topology.ip2as import IpToAsDatabase
 from repro.util.timeutil import TimeWindow
@@ -351,46 +358,34 @@ class StreamingLocalizer:
         observation: Observation,
         timestamp: int,
     ) -> None:
-        previous = state.last_solution
         if not state.add(observation):
             return
         self.stats.clauses_appended += 1
         if not self._subscribers:
             return  # verdict deltas are only computed for listeners
-        solution = state.snapshot(self.stats)
-        key = self._keys[bucket]
-        if previous is None or solution.status is not previous.status:
-            self._emit(
-                VerdictEvent(
-                    kind=VerdictKind.STATUS_CHANGED,
-                    key=key,
-                    sequence=self._next_sequence(),
-                    timestamp=timestamp,
-                    observations_ingested=self.stats.observations,
-                    measurements_ingested=self.stats.measurements,
-                    solution=solution,
-                    previous_status=(
-                        previous.status.value if previous else None
-                    ),
-                    candidates=_candidates_of(solution),
-                )
-            )
+        previous = state.status
+        kind = state.track(observation, self.stats)
+        if kind is None:
             return
-        candidates = _candidates_of(solution)
-        previous_candidates = _candidates_of(previous)
-        if candidates < previous_candidates:
-            self._emit(
-                VerdictEvent(
-                    kind=VerdictKind.CANDIDATES_SHRANK,
-                    key=key,
-                    sequence=self._next_sequence(),
-                    timestamp=timestamp,
-                    observations_ingested=self.stats.observations,
-                    measurements_ingested=self.stats.measurements,
-                    solution=solution,
-                    candidates=candidates,
-                )
+        solution = state.last_solution
+        self._emit(
+            VerdictEvent(
+                kind=kind,
+                key=self._keys[bucket],
+                sequence=self._next_sequence(),
+                timestamp=timestamp,
+                observations_ingested=self.stats.observations,
+                measurements_ingested=self.stats.measurements,
+                solution=solution,
+                previous_status=(
+                    previous.value
+                    if previous is not None
+                    and kind is VerdictKind.STATUS_CHANGED
+                    else None
+                ),
+                candidates=candidates_of(solution),
             )
+        )
 
     def _close_due(self) -> None:
         if self._watermark is None:
@@ -591,17 +586,6 @@ class StreamingLocalizer:
     def solve_stats(self):
         """The shared solve cache's counters (signature hits etc.)."""
         return self._cache.stats
-
-
-def _candidates_of(solution: ProblemSolution) -> frozenset:
-    """The candidate censor set a verdict narrows: potential censors for
-    2+-solution problems, the pinned censors for unique ones, empty for
-    unsatisfiable ones."""
-    if solution.status is SolutionStatus.MULTIPLE:
-        return solution.potential_censors
-    if solution.status is SolutionStatus.UNIQUE:
-        return solution.censors
-    return frozenset()
 
 
 def _confirmed_censors_of(solution: ProblemSolution) -> frozenset:

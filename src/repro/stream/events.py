@@ -32,7 +32,7 @@ from repro.core.pipeline import (
     solution_from_dict,
     solution_to_dict,
 )
-from repro.core.problem import ProblemSolution
+from repro.core.problem import ProblemSolution, SolutionStatus
 from repro.core.splitting import ProblemKey
 
 
@@ -142,4 +142,16 @@ class VerdictEvent:
 Subscriber = Callable[[VerdictEvent], None]
 
 
-__all__ = ["VerdictKind", "VerdictEvent", "Subscriber"]
+def candidates_of(solution: ProblemSolution) -> FrozenSet[int]:
+    """The candidate censor set a verdict narrows: potential censors for
+    2+-solution problems, the pinned censors for unique ones, empty for
+    unsatisfiable ones.  ``STATUS_CHANGED`` and ``CANDIDATES_SHRANK``
+    events carry exactly this set of their solution."""
+    if solution.status is SolutionStatus.MULTIPLE:
+        return solution.potential_censors
+    if solution.status is SolutionStatus.UNIQUE:
+        return solution.censors
+    return frozenset()
+
+
+__all__ = ["VerdictKind", "VerdictEvent", "Subscriber", "candidates_of"]

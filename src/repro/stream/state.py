@@ -11,6 +11,12 @@ Verdict snapshots classify the closure with
 :func:`~repro.core.problem.classify`, the function the batch solve ends
 in, so a snapshot is the batch verdict on the same prefix by
 construction.
+
+The stream builds that snapshot only when a subscriber will receive it.
+After each new clause :meth:`ProblemState.track` reads the verdict's
+status and candidate count off the closure and the ledger in O(1), and
+only a change of status, or a clean path that lowers the count, builds
+the :class:`~repro.core.problem.ProblemSolution`.
 """
 
 from __future__ import annotations
@@ -24,10 +30,12 @@ from repro.core.problem import (
     Closure,
     ProblemSolution,
     ProblemSolveCache,
+    SolutionStatus,
     classify,
     solve_ledger,
 )
 from repro.core.splitting import ProblemKey
+from repro.stream.events import VerdictKind, candidates_of
 
 
 @dataclass
@@ -63,7 +71,13 @@ class StreamStats:
 
 
 class ProblemState:
-    """One open (URL, anomaly, window) problem, updated in place."""
+    """One open (URL, anomaly, window) problem, updated in place.
+
+    ``status`` and ``candidates`` describe the verdict after the last
+    tracked clause (``None`` and 0 before any): its status and the size
+    of its candidate censor set.  ``last_solution`` is that verdict in
+    full, built from the closure on first read.
+    """
 
     __slots__ = (
         "key",
@@ -71,7 +85,10 @@ class ProblemState:
         "observations",
         "ledger",
         "closure",
-        "last_solution",
+        "status",
+        "candidates",
+        "_solution",
+        "_stale",
     )
 
     def __init__(self, key: ProblemKey, solution_cap: int) -> None:
@@ -80,7 +97,34 @@ class ProblemState:
         self.observations: List[Observation] = []
         self.ledger = PathLedger()
         self.closure = Closure()
-        self.last_solution: Optional[ProblemSolution] = None
+        self.status: Optional[SolutionStatus] = None
+        self.candidates = 0
+        # The built verdict; None while it is still to be built.  Stale
+        # when set from an older ledger than the problem's.
+        self._solution: Optional[ProblemSolution] = None
+        self._stale = False
+
+    @property
+    def last_solution(self) -> Optional[ProblemSolution]:
+        """The verdict after the last tracked clause (or the one set by
+        :meth:`finalize` or a restore); None before any."""
+        if self._solution is None and self.status is not None:
+            self._solution = classify(
+                self.key, self.ledger, self.solution_cap, self.closure
+            )
+        return self._solution
+
+    @last_solution.setter
+    def last_solution(self, solution: Optional[ProblemSolution]) -> None:
+        self._solution = solution
+        if solution is None:
+            self.status = None
+            self.candidates = 0
+            self._stale = False
+        else:
+            self.status = solution.status
+            self.candidates = len(candidates_of(solution))
+            self._stale = solution.clause_count != self.ledger.clause_count
 
     def add(self, observation: Observation) -> bool:
         """Record one observation; True when it added clause information.
@@ -100,6 +144,64 @@ class ProblemState:
     def had_anomaly(self) -> bool:
         return self.ledger.had_anomaly
 
+    def track(
+        self, observation: Observation, stats: StreamStats
+    ) -> Optional[VerdictKind]:
+        """Bring the verdict up to date after :meth:`add` took
+        ``observation`` as a new clause; the event it calls for, if any.
+
+        ``STATUS_CHANGED`` when the status moved (or there was none),
+        ``CANDIDATES_SHRANK`` when the candidate set lost an AS.  Against
+        the verdict of the ledger before, both read off counts: a clean
+        path only exonerates, so the set it leaves is a subset of the
+        one before, and a censored path exonerates nothing, so it never
+        shrinks the set.  A verdict of an older ledger, restored from a
+        checkpoint whose engine took later clauses without subscribers,
+        is compared set to set.
+        """
+        if self._stale:
+            prior = self._solution
+            solution = self.snapshot(stats)
+            if solution.status is not prior.status:
+                return VerdictKind.STATUS_CHANGED
+            if candidates_of(solution) < candidates_of(prior):
+                return VerdictKind.CANDIDATES_SHRANK
+            return None
+        self._count(stats)
+        closure = self.closure
+        # classify()'s status, and the size of candidates_of() its
+        # solution: the unexonerated ASes, which for a unique verdict
+        # are exactly the forced-True ones.
+        if closure.conflict:
+            status = SolutionStatus.UNSATISFIABLE
+            candidates = 0
+        else:
+            candidates = self.ledger.observed_count - len(
+                closure.forced_false
+            )
+            status = (
+                SolutionStatus.MULTIPLE
+                if closure.residual or candidates != len(closure.forced_true)
+                else SolutionStatus.UNIQUE
+            )
+        previous = self.status
+        shrank = candidates < self.candidates and not observation.detected
+        self.status = status
+        self.candidates = candidates
+        self._solution = None
+        if status is not previous:
+            return VerdictKind.STATUS_CHANGED
+        if shrank:
+            return VerdictKind.CANDIDATES_SHRANK
+        return None
+
+    def _count(self, stats: StreamStats) -> None:
+        stats.snapshots += 1
+        if self.closure.residual:
+            stats.fallback_solves += 1
+        else:
+            stats.propagation_decided += 1
+
     def snapshot(self, stats: StreamStats) -> ProblemSolution:
         """The problem's verdict over everything ingested so far.
 
@@ -107,11 +209,7 @@ class ProblemState:
         observation prefix; a residual left by propagation is closed by
         the capped hitting-set count, as in batch.
         """
-        stats.snapshots += 1
-        if self.closure.residual:
-            stats.fallback_solves += 1
-        else:
-            stats.propagation_decided += 1
+        self._count(stats)
         solution = classify(
             self.key, self.ledger, self.solution_cap, self.closure
         )

@@ -22,6 +22,7 @@ What this module pins:
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 import urllib.request
@@ -32,7 +33,9 @@ from repro.api import ExecutionPolicy, LocalizationSession, SessionConfig
 from repro.api import backends as backends_module
 from repro.api import wire
 from repro.api.transport import TransportError
-from repro.core.observations import observations_of
+from repro.api.transport import FRAME_LENGTH
+from repro.core import observations as observations_module
+from repro.core.observations import DiscardStats, observations_of
 from repro.serve import (
     AdmissionPolicy,
     ServeClient,
@@ -42,7 +45,8 @@ from repro.serve import (
     start_in_thread,
     stream_campaign,
 )
-from repro.serve.server import healthz_snapshot
+from repro.serve.server import JOIN_BELOW, healthz_snapshot, write_frame
+from repro.stream.checkpoint import discard_to_dict
 from repro.serve.tenants import (
     SERVE_STATE_FORMAT,
     Tenant,
@@ -419,9 +423,9 @@ class TestTenantDecoder:
     def test_each_tenant_and_each_resume_decodes_afresh(
         self, tmp_path, tiny_world, tiny_dataset
     ):
-        """A tenant owns its decoder: a second tenant's starts empty
-        while the first holds every path it applied, and so does the
-        tenant a restart resumes from the first one's state file."""
+        """A tenant's backend owns its decoder: a second tenant's starts
+        empty while the first holds every path it applied, and so does
+        the tenant a restart resumes from the first one's state file."""
         records = [
             record
             for measurement in tiny_dataset[:30]
@@ -439,18 +443,116 @@ class TestTenantDecoder:
         )
         try:
             assert first.apply(("ingest", 1, records, None)) == ("ack", 1)
-            assert set(first.decoder.paths) == {r[3] for r in records}
-            assert second.decoder.paths == {} and second.decoder.urls == {}
+            decoder = first.session.backend.decoder
+            assert set(decoder.paths) == {r[3] for r in records}
+            fresh = second.session.backend.decoder
+            assert fresh.paths == {} and fresh.urls == {}
             first.checkpoint(tmp_path)
             resumed = registry.resume(state_path(tmp_path, "first"))
             try:
                 assert resumed.applied_seq == 1
-                assert resumed.decoder.paths == {}
+                assert resumed.session.backend.decoder.paths == {}
             finally:
                 resumed.close()
         finally:
             first.close()
             second.close()
+
+
+class TestTenantRelaysRecords:
+    def test_sharded_tenant_builds_no_observation(
+        self, monkeypatch, tiny_world, tiny_dataset, tiny_batch
+    ):
+        """A sharded tenant routes ingest records as they arrive: the
+        daemon builds no observation, holds each path and URL once
+        however many frames carried a copy, and drains the records it
+        holds into the batch result."""
+        stats = DiscardStats()
+        records = [
+            record
+            for measurement in tiny_dataset
+            for record in observations_of(
+                measurement,
+                tiny_world.ip2as,
+                stats=stats,
+                record=wire.observation_record,
+            )
+        ]
+        # Each frame through its own pickle: its own copy of each path.
+        frames = [
+            wire.decode(
+                wire.encode(("ingest", seq, records[start:start + 64], None))
+            )
+            for seq, start in enumerate(range(0, len(records), 64), 1)
+        ]
+        built = []
+        new_observation = observations_module._new_observation
+        monkeypatch.setattr(
+            observations_module,
+            "_new_observation",
+            lambda cls: built.append(cls) or new_observation(cls),
+        )
+        tenant = TenantRegistry()._wire_up(
+            "relay",
+            LocalizationSession.for_world(
+                tiny_world, _config(backend="sharded", shards=2)
+            ),
+        )
+        try:
+            for frame in frames:
+                assert tenant.apply(frame) == ("ack", frame[1])
+            held = [
+                record
+                for group in tenant.session.backend._tracker.groups.values()
+                for record in group
+            ]
+            assert len(held) > len(records)
+            assert len({id(record[3]) for record in held}) == len(
+                {record[3] for record in records}
+            )
+            assert len({id(record[0]) for record in held}) == len(
+                {record[0] for record in records}
+            )
+            kind, payload = tenant.apply(
+                ("drain", len(frames) + 1, discard_to_dict(stats))
+            )
+            assert kind == "result"
+            assert not built
+        finally:
+            tenant.close()
+        result = wire.result_from_wire(
+            wire.decode(wire.encode((kind, payload)))[1]
+        )
+        assert result.to_dict(
+            include_observations=True
+        ) == tiny_batch.to_dict(include_observations=True)
+
+
+class TestFraming:
+    class _RecordingWriter:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, data):
+            self.writes.append(bytes(data))
+
+        async def drain(self):
+            pass
+
+    def test_small_frames_go_out_in_one_write(self):
+        """An ack costs one send; a large frame (a drained result) keeps
+        its header and payload apart instead of copying the payload."""
+        for message, writes in (
+            (("ack", 7), 1),
+            (("result", b"x" * JOIN_BELOW), 2),
+        ):
+            writer = self._RecordingWriter()
+            asyncio.run(write_frame(writer, message))
+            assert len(writer.writes) == writes
+            data = b"".join(writer.writes)
+            (length,) = FRAME_LENGTH.unpack(data[: FRAME_LENGTH.size])
+            assert length == len(data) - FRAME_LENGTH.size
+            assert wire.decode(data[FRAME_LENGTH.size:]) == message
 
 
 class TestAdmission:

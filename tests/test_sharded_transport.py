@@ -58,7 +58,7 @@ from repro.core.observations import (
 )
 from repro.core.pipeline import PipelineConfig
 from repro.stream.engine import StreamingLocalizer
-from repro.stream.events import VerdictKind
+from repro.stream.events import VerdictKind, candidates_of
 
 
 def _policy(shards, **overrides):
@@ -124,6 +124,30 @@ class TestWireCodec:
             assert wire.event_from_wire(payload) == event
             kinds.add(event.kind)
         assert VerdictKind.WINDOW_CLOSED in kinds
+
+    def test_event_decodes_one_key_and_shares_its_candidates(
+        self, tiny_world, tiny_dataset
+    ):
+        """Format 10: an event tuple carries its key once and no
+        candidates; the decoded solution shares the event's key, and the
+        candidates are the solution's own set."""
+        engine = StreamingLocalizer(
+            tiny_world.ip2as, tiny_world.country_by_asn
+        )
+        events = []
+        engine.subscribe(events.append)
+        for measurement in tiny_dataset[:40]:
+            engine.ingest_measurement(measurement)
+        shared = 0
+        for event in events:
+            payload = wire.event_to_wire(event)
+            assert len(payload[6]) == 9   # the solution, without a key
+            decoded = wire.event_from_wire(payload)
+            assert decoded.solution.key is decoded.key
+            if decoded.candidates:
+                assert decoded.candidates is candidates_of(decoded.solution)
+                shared += 1
+        assert shared
 
     def test_message_frame_round_trip(self, tiny_observations):
         chunk = tuple(
@@ -206,28 +230,36 @@ class TestWireCodec:
         # and attach frames are refused before that config is built.
         config = {**SessionConfig(preset="tiny").to_dict(), "optimized": True}
         with pytest.raises(
-            wire.WireFormatError, match="wire format 7; this build speaks 9"
+            wire.WireFormatError, match="wire format 7; this build speaks 10"
         ):
             wire.check_hello(("hello", 7, 0, config, False, {}))
         with pytest.raises(
-            wire.WireFormatError, match="wire format 7; this daemon speaks 9"
+            wire.WireFormatError, match="wire format 7; this daemon speaks 10"
         ):
             wire.check_attach(("attach", 7, "old", config, False, None, {}))
         # A format-8 build sends today's config but reads a drain's
-        # ``result`` frame as a whole PipelineResult; refused all the same.
+        # ``result`` frame as a whole PipelineResult, and a format-9 build
+        # reads its parts as observations and event tuples one element
+        # off; both refused all the same.
         config = SessionConfig(preset="tiny").to_dict()
-        with pytest.raises(
-            wire.WireFormatError, match="wire format 8; this build speaks 9"
-        ):
-            wire.check_hello(("hello", 8, 0, config, False, {}))
-        with pytest.raises(
-            wire.WireFormatError, match="wire format 8; this daemon speaks 9"
-        ):
-            wire.check_attach(("attach", 8, "old", config, False, None, {}))
+        for old in (8, 9):
+            with pytest.raises(
+                wire.WireFormatError,
+                match=f"wire format {old}; this build speaks 10",
+            ):
+                wire.check_hello(("hello", old, 0, config, False, {}))
+            with pytest.raises(
+                wire.WireFormatError,
+                match=f"wire format {old}; this daemon speaks 10",
+            ):
+                wire.check_attach(
+                    ("attach", old, "old", config, False, None, {})
+                )
 
 
 class TestServedRecords:
-    """Each decoded record held once; the drain encoded pair by pair."""
+    """Each served record held once; the drain encoded pair by pair
+    (format 9) as records, one per observation (format 10)."""
 
     @pytest.mark.parametrize("preset", ["tiny", "small"])
     def test_result_round_trips_pair_by_pair(self, preset, request):
@@ -240,6 +272,17 @@ class TestServedRecords:
         assert len(parts) == len(
             {(key.url, key.anomaly) for key in result.observations_by_key}
         )
+        # Each part holds its pair's groups as wire records, and a record
+        # sits in every group of its observation, not a copy per group.
+        entries = sum(map(len, result.observations_by_key.values()))
+        held = {
+            id(record): record
+            for part in parts
+            for group in pickle.loads(part)
+            for record in group
+        }
+        assert all(type(record) is tuple for record in held.values())
+        assert len(held) < entries
         decoded = wire.result_from_wire(
             wire.decode(wire.encode(("result", payload)))[1]
         )
@@ -257,7 +300,6 @@ class TestServedRecords:
                 group, decoded.observations_by_key[key]
             ):
                 assert by_original.setdefault(id(original), copy) is copy
-        entries = sum(map(len, result.observations_by_key.values()))
         assert len(by_original) < entries
 
     def test_frames_of_one_path_decode_to_one_tuple(self, tiny_observations):

@@ -20,6 +20,8 @@ The acceptance surface of the `repro.stream` subsystem:
 from __future__ import annotations
 
 import json
+import types
+from collections import Counter
 
 import pytest
 
@@ -39,6 +41,8 @@ from repro.stream import (
     replay_dataset,
     stream_campaign,
 )
+from repro.stream.checkpoint import engine_state, restore_engine
+from repro.stream.events import VerdictEvent, candidates_of
 from repro.stream.state import ProblemState, StreamStats
 from repro.util.timeutil import DAY, Granularity, TimeWindow
 
@@ -268,6 +272,129 @@ class TestIncrementalState:
         assert not state.add(obs)
         assert len(state.observations) == 2  # group keeps every arrival
         assert len(state.ledger) == 1
+
+
+def _eager_apply(self, bucket, state, observation, timestamp):
+    """``StreamingLocalizer._apply`` building the full verdict after
+    every new clause and comparing it with the previous one: the
+    reference the lazy verdicts must match event for event."""
+    previous = state.last_solution
+    if not state.add(observation):
+        return
+    self.stats.clauses_appended += 1
+    if not self._subscribers:
+        return
+    solution = state.snapshot(self.stats)
+    if previous is None or solution.status is not previous.status:
+        kind = VerdictKind.STATUS_CHANGED
+    elif candidates_of(solution) < candidates_of(previous):
+        kind = VerdictKind.CANDIDATES_SHRANK
+    else:
+        return
+    self._emit(
+        VerdictEvent(
+            kind=kind,
+            key=self._keys[bucket],
+            sequence=self._next_sequence(),
+            timestamp=timestamp,
+            observations_ingested=self.stats.observations,
+            measurements_ingested=self.stats.measurements,
+            solution=solution,
+            previous_status=(
+                previous.status.value
+                if previous is not None
+                and kind is VerdictKind.STATUS_CHANGED
+                else None
+            ),
+            candidates=candidates_of(solution),
+        )
+    )
+
+
+def _subscribed(engine, eager=False):
+    events = []
+    engine.subscribe(events.append)
+    if eager:
+        engine._apply = types.MethodType(_eager_apply, engine)
+    return engine, events
+
+
+def _late_feed(world, dataset, every=40):
+    """The dataset's observations with every ``every``-th held back to
+    the end, where it lands in an elapsed window and reopens it."""
+    observations, _ = build_observations(dataset, world.ip2as)
+    late = observations[::every]
+    return [o for i, o in enumerate(observations) if i % every] + late
+
+
+class TestLazyVerdicts:
+    """Verdicts built only for events match the eager engine's."""
+
+    @pytest.mark.parametrize("preset", ["tiny", "small"])
+    def test_events_match_eager_reference(self, preset, request):
+        world = request.getfixturevalue(f"{preset}_world")
+        feed = _late_feed(world, request.getfixturevalue(f"{preset}_dataset"))
+        lazy, lazy_events = _subscribed(_engine_for(world))
+        eager, eager_events = _subscribed(_engine_for(world), eager=True)
+        for observation in feed:
+            lazy.ingest_observation(observation)
+            eager.ingest_observation(observation)
+        assert lazy.drain().to_dict() == eager.drain().to_dict()
+        assert lazy_events == eager_events
+        assert lazy.stats == eager.stats
+        assert lazy.stats.problems_reopened > 0
+        kinds = Counter(event.kind for event in lazy_events)
+        assert kinds[VerdictKind.CANDIDATES_SHRANK] > 0
+        assert kinds[VerdictKind.STATUS_CHANGED] > 0
+
+    def test_midstream_checkpoint_matches_eager(
+        self, tiny_world, tiny_dataset
+    ):
+        """A checkpoint builds each open problem's verdict on demand:
+        the state equals the eager engine's, mid-reopen included."""
+        feed = _late_feed(tiny_world, tiny_dataset)
+        cut = len(feed) - 3
+        lazy, _ = _subscribed(_engine_for(tiny_world))
+        eager, _ = _subscribed(_engine_for(tiny_world), eager=True)
+        for observation in feed[:cut]:
+            lazy.ingest_observation(observation)
+            eager.ingest_observation(observation)
+        assert lazy.stats.problems_reopened > 0
+        assert engine_state(lazy) == engine_state(eager)
+
+    def test_restored_verdict_of_an_older_ledger_matches_eager(
+        self, tiny_world
+    ):
+        """An engine without subscribers keeps a restored verdict while
+        its ledger grows; resumed with subscribers, that verdict is
+        compared set to set, as the eager engine compares it."""
+        config = PipelineConfig(granularities=(Granularity.DAY,))
+        make = ProblemStateFactory.observation
+
+        def restored(engine):
+            return restore_engine(
+                engine_state(engine), None, {}, config=config
+            )
+
+        tracked, _ = _subscribed(_engine_for(tiny_world, config))
+        tracked.ingest_observation(make(True, (1, 2, 3), timestamp=10))
+        untracked = restored(tracked)
+        # Exonerates AS3 while no verdict is tracked.
+        untracked.ingest_observation(make(False, (3,), timestamp=20))
+        (lazy, lazy_events), (eager, eager_events) = (
+            _subscribed(restored(untracked), eager=eager)
+            for eager in (False, True)
+        )
+        for engine in (lazy, eager):
+            # A censored path exonerates nothing, yet against the
+            # restored verdict the candidates went from {1, 2, 3} to
+            # {1, 2}.
+            engine.ingest_observation(make(True, (1, 2), timestamp=30))
+        assert [event.kind for event in eager_events] == [
+            VerdictKind.CANDIDATES_SHRANK
+        ]
+        assert lazy_events == eager_events
+        assert lazy.stats == eager.stats
 
 
 class ProblemStateFactory:
